@@ -5,11 +5,12 @@
 # memory paths against their per-byte reference + the measured suite diffed
 # against the committed baseline report (calibration-normalized ns/op, exact
 # alloc and zero-byte guarantees, and a failure on any entry the baseline is
-# missing).
+# missing) + vet and tests of the nested bench/ module, which root
+# `go test ./...` skips.
 
 GO ?= go
 
-.PHONY: all vet fmt-check build test race bench-smoke fuzz-smoke bench bench-json bench-check serve-smoke sample-smoke cluster-smoke ci
+.PHONY: all vet fmt-check build test race bench-smoke fuzz-smoke bench bench-json bench-check bench-build serve-smoke sample-smoke cluster-smoke ci
 
 all: build
 
@@ -57,6 +58,12 @@ bench-json:
 bench-check:
 	$(GO) run ./cmd/sfcbench -insts 20000 -baseline BENCH_PR10.json -tolerance 0.5 bench all
 
+# The repository benchmark (bench/, its own module) compiles against the
+# snapshot, replay, sample, harness and service APIs; vet and test it so an
+# API change cannot break it unnoticed.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # End-to-end smoke of the serving stack: sfcserve on an ephemeral port,
 # an sfcload burst that must hit the cache/coalescer for >=50% of requests,
 # and a clean SIGTERM drain.
@@ -77,4 +84,4 @@ sample-smoke:
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
-ci: vet fmt-check build race bench-smoke fuzz-smoke bench-check serve-smoke sample-smoke cluster-smoke
+ci: vet fmt-check build race bench-smoke bench-build fuzz-smoke bench-check serve-smoke sample-smoke cluster-smoke

@@ -193,10 +193,8 @@ func BenchmarkLSQSearch(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Cycle-loop micro-benchmarks: the event wheel and entry pool that replaced
-// the seed's map-of-slices scheduler and per-dispatch allocations. The paired
-// *Map/*Unpooled benchmarks keep the replaced implementations measurable so
-// the win stays visible in bench output (and in BENCH_PR1.json, which
-// cmd/sfcbench regenerates from equivalent loops).
+// the seed's map-of-slices scheduler and per-dispatch allocations
+// (cmd/sfcbench measures equivalent loops).
 
 // BenchmarkEventWheel models the pipeline's real event mix — a few
 // completions scheduled per cycle at latencies spread across the wheel
@@ -211,24 +209,6 @@ func BenchmarkEventWheel(b *testing.B) {
 		}
 		now++
 		w.Due(now)
-	}
-}
-
-// BenchmarkEventMap is the seed's scheduler: a map from cycle to an
-// allocated slice of due events.
-func BenchmarkEventMap(b *testing.B) {
-	events := make(map[uint64][]int)
-	var now uint64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 4; j++ {
-			at := now + uint64(1+(i+j)%48)
-			events[at] = append(events[at], j)
-		}
-		now++
-		if _, ok := events[now]; ok {
-			delete(events, now)
-		}
 	}
 }
 
@@ -255,18 +235,6 @@ func BenchmarkEntryPooled(b *testing.B) {
 		}
 		e.seq = uint64(i)
 		pool = append(pool, e)
-	}
-}
-
-// BenchmarkEntryUnpooled is the seed's behaviour: a fresh entry and snapshot
-// slice per dispatched instruction.
-func BenchmarkEntryUnpooled(b *testing.B) {
-	sink := make([]*benchROBEntry, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := &benchROBEntry{ratSnap: make([]uint64, 32)}
-		e.seq = uint64(i)
-		sink[0] = e
 	}
 }
 

@@ -82,7 +82,7 @@ const calibrationName = "cpu-calibration"
 // Event scheduling: the seed kept completion events in a
 // map[cycle][]*entry — every Schedule hashed, every cycle probed the map,
 // and the per-cycle slices churned the heap. The wheel replaces all of that
-// with a masked ring index. Both benchmarks model the pipeline's real event
+// with a masked ring index. The benchmark models the pipeline's real event
 // mix: a few events per cycle, latencies spread across the wheel horizon,
 // drained every cycle.
 
@@ -108,30 +108,10 @@ func benchEventWheel(uint64) (benchResult, error) {
 	return fromResult("event-wheel-cycle", res), nil
 }
 
-func benchEventMap(uint64) (benchResult, error) {
-	res := testing.Benchmark(func(b *testing.B) {
-		events := make(map[uint64][]int)
-		var now uint64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < churnEventsPerCycle; j++ {
-				at := now + uint64(1+(i+j)%churnMaxLatency)
-				events[at] = append(events[at], j)
-			}
-			now++
-			if _, ok := events[now]; ok {
-				delete(events, now)
-			}
-		}
-	})
-	return fromResult("event-map-cycle", res), nil
-}
-
 // ---------------------------------------------------------------------------
 // Entry churn: the seed allocated a fresh ROB entry (plus its RAT-snapshot
-// slice) per dispatched instruction. The pooled variant models the pipeline's
-// free list; the unpooled variant is the seed's behaviour.
+// slice) per dispatched instruction. The benchmark models the pipeline's free
+// list that replaced it.
 
 type churnEntry struct {
 	seq, pc, addr, val uint64
@@ -168,23 +148,6 @@ func benchEntryPooled(uint64) (benchResult, error) {
 		}
 	})
 	return fromResult("entry-pooled-cycle", res), nil
-}
-
-func benchEntryUnpooled(uint64) (benchResult, error) {
-	res := testing.Benchmark(func(b *testing.B) {
-		live := make([]*churnEntry, 0, churnEventsPerCycle)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < churnEventsPerCycle; j++ {
-				e := &churnEntry{ratSnap: make([]uint64, churnRegs)}
-				e.seq = uint64(i)
-				live = append(live, e)
-			}
-			live = live[:0]
-		}
-	})
-	return fromResult("entry-unpooled-cycle", res), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -801,9 +764,7 @@ func benchFigure5(insts uint64) (benchResult, error) {
 var benchSuite = []benchEntry{
 	{calibrationName, benchCalibration},
 	{"event-wheel-cycle", benchEventWheel},
-	{"event-map-cycle", benchEventMap},
 	{"entry-pooled-cycle", benchEntryPooled},
-	{"entry-unpooled-cycle", benchEntryUnpooled},
 	{"mem-read-word", benchMemReadWord},
 	{"mem-tlb", benchMemTLB},
 	{"sfc-store-load-retire", benchSFC},
@@ -828,12 +789,10 @@ var benchSuite = []benchEntry{
 	{"figure5-macro", benchFigure5},
 }
 
-// informational entries are the replaced implementations, kept measurable
-// so the win stays visible. They are not shipped code, so the comparator
-// does not gate their timings.
+// informational entries are the oracle modes the differential tests compare
+// against, kept measurable so the win stays visible. They are not the
+// shipped fast paths, so the comparator does not gate their timings.
 var informational = map[string]bool{
-	"event-map-cycle":              true,
-	"entry-unpooled-cycle":         true,
 	"issue-scan":                   true,
 	"pipeline-stall-cycle-noelide": true,
 }

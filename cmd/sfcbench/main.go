@@ -7,12 +7,11 @@
 //	sfcbench [-insts N] [-v] <experiment>...
 //	sfcbench [-insts N] [-v] [-json FILE] [-baseline FILE] [-tolerance F] bench [name...]
 //
-// The bench subcommand runs the performance suite (event-wheel vs map
-// scheduling, pooled vs unpooled entry churn, the word-granular memory
-// substrate and its page TLB, SFC/MDT/store-FIFO micro-benchmarks, the
-// wakeup vs linear-scan issue schedulers, the steady-state pipeline cycle,
-// and the Figure 5 macro run) and reports ns/op, B/op, allocs/op, and
-// simulated MIPS per entry. -json writes the rows to a file (the committed
+// The bench subcommand runs the performance suite (event-wheel scheduling,
+// pooled entry churn, the word-granular memory substrate and its page TLB,
+// SFC/MDT/store-FIFO micro-benchmarks, the wakeup vs linear-scan issue
+// schedulers, the steady-state pipeline cycle, and the Figure 5 macro run)
+// and reports ns/op, B/op, allocs/op, and simulated MIPS per entry. -json writes the rows to a file (the committed
 // BENCH_PR5.json is one such report); -baseline diffs the fresh rows
 // against a committed report and exits nonzero when any entry regresses by
 // more than -tolerance, allocates where the baseline did not, or is missing

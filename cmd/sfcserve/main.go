@@ -10,7 +10,7 @@
 //	sfcserve [-addr 127.0.0.1:8080] [-addr-file PATH] [-workers N]
 //	         [-queue N] [-cache N] [-default-insts N] [-max-insts N]
 //	         [-max-ff N] [-sample-parallel N] [-checkpoint-dir DIR]
-//	         [-replay-dir DIR] [-lockstep] [-drain 15s]
+//	         [-replay-dir DIR] [-drain 15s]
 //	         [-coordinator | -join URL] [-cluster-dir DIR] [-advertise ADDR]
 //	         [-heartbeat 1s] [-probe-interval 1s] [-load-factor 1.25]
 //
@@ -22,9 +22,10 @@
 // Full-detail runs draw their functional reference streams from a
 // service-wide replay cache, so every point of a sweep pays one functional
 // pass per workload (GET /v1/stats reports the hit/materialize counters).
-// -replay-dir persists the streams on disk across restarts; -lockstep
-// switches the backend to the golden-model oracle (bit-identical results,
-// no stream reuse).
+// -replay-dir persists the streams on disk across restarts.
+//
+// Every node serves its own checkpoint and stream stores to cluster peers at
+// GET/PUT /v1/store/{snapshot,stream}?key=K.
 //
 // # Cluster modes
 //
@@ -58,6 +59,7 @@ import (
 	"syscall"
 	"time"
 
+	"sfcmdt/internal/blob"
 	"sfcmdt/internal/cluster"
 	"sfcmdt/internal/replay"
 	"sfcmdt/internal/service"
@@ -76,7 +78,6 @@ func main() {
 	sampleParallel := flag.Int("sample-parallel", 0, "interval-level workers per sampled run (default GOMAXPROCS; 1 serializes; results bit-identical either way)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for the on-disk checkpoint store (default: in-memory)")
 	replayDir := flag.String("replay-dir", "", "directory for the on-disk replay-stream store (default: in-memory)")
-	lockstep := flag.Bool("lockstep", false, "run the backend against the golden-model lockstep oracle instead of replay streams")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown deadline before in-flight runs are canceled")
 	coordinator := flag.Bool("coordinator", false, "serve as a cluster coordinator (no local simulator)")
 	join := flag.String("join", "", "coordinator URL to register with (turns this server into a cluster worker)")
@@ -113,23 +114,17 @@ func main() {
 			*replayDir = filepath.Join(*clusterDir, "streams")
 		}
 	}
-	var ckpts snapshot.Store
+	// The node's own stores, which /v1/store publishes to peers: on disk
+	// when a directory is named, else in memory. Only a worker keeps an
+	// in-memory stream tier; a standalone node's replay cache is enough.
+	var ckpts, streams blob.Store = blob.NewMem(), nil
 	if *ckptDir != "" {
-		st, err := snapshot.NewDiskStore(*ckptDir)
-		if err != nil {
-			log.Fatalf("checkpoint-dir: %v", err)
-		}
-		ckpts = st
-		log.Printf("checkpoint store at %s", *ckptDir)
+		ckpts = openDisk(*ckptDir, snapshot.Codec.Kind, "checkpoint")
 	}
-	var streams replay.Store
 	if *replayDir != "" {
-		st, err := replay.NewDiskStore(*replayDir)
-		if err != nil {
-			log.Fatalf("replay-dir: %v", err)
-		}
-		streams = st
-		log.Printf("replay-stream store at %s", *replayDir)
+		streams = openDisk(*replayDir, replay.Codec.Kind, "replay-stream")
+	} else if *join != "" {
+		streams = blob.NewMem()
 	}
 
 	cfg := service.Config{
@@ -140,35 +135,25 @@ func main() {
 		MaxInsts:       *maxInsts,
 		MaxFFInsts:     *maxFF,
 		SampleParallel: *sampleParallel,
-		Checkpoints:    ckpts,
-		Streams:        streams,
-		Lockstep:       *lockstep,
 	}
+	cfg.PublishCheckpoints, cfg.PublishStreams = ckpts, streams
 	if *join != "" {
-		// Worker mode: layer the local stores into fleet-backed tiers. The
-		// node publishes only its local tier (PublishCheckpoints/Streams);
-		// serving the tiered store to peers would recurse a fleet Get through
-		// the coordinator right back to this node. In-memory local tiers
-		// still publish: "local" means "this node owns it", not "on disk".
-		localCkpts := ckpts
-		if localCkpts == nil {
-			localCkpts = snapshot.NewMemStore()
-		}
-		localStreams := streams
-		if localStreams == nil {
-			localStreams = replay.NewMemStore()
-		}
-		cfg.Checkpoints = &cluster.TieredSnapshots{Local: localCkpts, Remote: &cluster.SnapshotStore{Base: *join}}
-		cfg.Streams = &cluster.TieredStreams{Local: localStreams, Remote: &cluster.StreamStore{Base: *join}}
-		cfg.PublishCheckpoints = localCkpts
-		cfg.PublishStreams = localStreams
+		// Worker mode: read through local-first tiers backed by the fleet,
+		// but publish only the local tier: serving the tiered store would
+		// recurse a peer's fleet Get through the coordinator back here.
+		ckpts = &blob.Tiered{Local: ckpts, Remote: &blob.Remote{Base: *join, Kind: snapshot.Codec.Kind}}
+		streams = &blob.Tiered{Local: streams, Remote: &blob.Remote{Base: *join, Kind: replay.Codec.Kind}}
+	}
+	cfg.Checkpoints = snapshot.Codec.Over(ckpts)
+	if streams != nil {
+		cfg.Streams = replay.Codec.Over(streams)
 	}
 	svc := service.New(cfg)
 
 	ln, bound := listen(*addr, *addrFile)
 	log.Printf("listening on %s", bound)
 
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := newServer(svc.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -224,6 +209,29 @@ func main() {
 	fmt.Println("sfcserve: clean shutdown")
 }
 
+// Server timeouts bound what a stalled client can hold open: its request
+// headers must arrive within readHeaderTimeout, and an idle keep-alive
+// connection closes after idleTimeout. There is deliberately no write
+// timeout, which would cut off a long /v1/sweep NDJSON stream mid-grid.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// openDisk opens an on-disk blob store or exits.
+func openDisk(dir string, kind blob.Kind, what string) blob.Store {
+	st, err := blob.NewDisk(dir, kind)
+	if err != nil {
+		log.Fatalf("%s store: %v", what, err)
+	}
+	log.Printf("%s store at %s", what, dir)
+	return st
+}
+
 // listen binds addr and (optionally) publishes the bound address to a file.
 func listen(addr, addrFile string) (net.Listener, string) {
 	ln, err := net.Listen("tcp", addr)
@@ -250,7 +258,7 @@ func runCoordinator(addr, addrFile string, drain time.Duration, cfg cluster.Conf
 	ln, bound := listen(addr, addrFile)
 	log.Printf("coordinator listening on %s", bound)
 
-	srv := &http.Server{Handler: coord.Handler()}
+	srv := newServer(coord.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -21,10 +21,9 @@
 // measure M). -checkpoint-dir backs the fast-forward with an on-disk
 // checkpoint store so repeated invocations restore instead of re-executing.
 //
-// The detailed pipeline consumes a compact columnar replay stream by default;
-// -replay-dir persists streams on disk so repeated invocations skip the
-// functional pass, and -lockstep switches back to the golden-model oracle
-// (results are bit-identical either way — see DESIGN.md §10).
+// The detailed pipeline consumes a compact columnar replay stream; -replay-dir
+// persists streams on disk so repeated invocations skip the functional pass
+// (see DESIGN.md §10).
 package main
 
 import (
@@ -61,7 +60,6 @@ func main() {
 	sParallel := flag.Int("sample-parallel", 0, "interval-level workers for sampled runs (0: all cores, 1: serial; results are bit-identical either way)")
 	ckptDir := flag.String("checkpoint-dir", "", "on-disk checkpoint store backing the fast-forward (default: none)")
 	replayDir := flag.String("replay-dir", "", "on-disk replay-stream store: the functional reference stream is loaded from (or saved to) DIR instead of re-traced per invocation")
-	lockstep := flag.Bool("lockstep", false, "consume the golden-model trace in lockstep instead of a columnar replay stream (oracle mode; bit-identical results)")
 	noElide := flag.Bool("noelide", false, "step every cycle instead of eliding quiescent spans (oracle mode; bit-identical results except the elided-cycle count)")
 	jsonOut := flag.Bool("json", false, "emit the run as service.Result JSON (the sfcserve schema)")
 	list := flag.Bool("list", false, "list workloads and exit")
@@ -115,29 +113,24 @@ func main() {
 		if plan.Measure == 0 {
 			plan.Measure = *insts
 		}
-		runSampled(cfg, w, plan, *ckptDir, *sParallel, *lockstep, *jsonOut)
+		runSampled(cfg, w, plan, *ckptDir, *sParallel, *jsonOut)
 		return
 	}
 
 	img := w.Build()
+	var store replay.Store
+	if *replayDir != "" {
+		st, err := replay.NewDiskStore(*replayDir)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sfcsim: replay-dir: %v\n", err)
+			os.Exit(1)
+		}
+		store = st
+	}
 	var p *pipeline.Pipeline
-	var err error
-	if *lockstep {
-		p, err = pipeline.New(cfg, img)
-	} else {
-		var store replay.Store
-		if *replayDir != "" {
-			store, err = replay.NewDiskStore(*replayDir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sfcsim: replay-dir: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		var v *replay.View
-		v, err = replay.NewCache(store).Source(img, "", *insts, nil)
-		if err == nil {
-			p, err = pipeline.NewWithTrace(cfg, img, v)
-		}
+	v, err := replay.NewCache(store).Source(img, "", *insts, nil)
+	if err == nil {
+		p, err = pipeline.NewWithTrace(cfg, img, v)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sfcsim: %v\n", err)
@@ -220,7 +213,7 @@ func writeStats(tw *tabwriter.Writer, s *metrics.Stats) {
 // runSampled executes the fast-forward / interval-sampling path and prints
 // either the sampled text report or the service.Result JSON (with its
 // sampling block).
-func runSampled(cfg sim.Config, w sim.WorkloadSpec, plan sample.Plan, ckptDir string, parallel int, lockstep, jsonOut bool) {
+func runSampled(cfg sim.Config, w sim.WorkloadSpec, plan sample.Plan, ckptDir string, parallel int, jsonOut bool) {
 	var store snapshot.Store
 	if ckptDir != "" {
 		st, err := snapshot.NewDiskStore(ckptDir)
@@ -230,11 +223,7 @@ func runSampled(cfg sim.Config, w sim.WorkloadSpec, plan sample.Plan, ckptDir st
 		}
 		store = st
 	}
-	prep := sample.Prepare
-	if lockstep {
-		prep = sample.PrepareLockstep
-	}
-	ivs, err := prep(w.Build(), plan, store, "")
+	ivs, err := sample.Prepare(w.Build(), plan, store, "")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sfcsim: %v\n", err)
 		os.Exit(1)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"sfcmdt/internal/blob"
 	"sfcmdt/internal/cluster"
 	"sfcmdt/internal/replay"
 	"sfcmdt/internal/service"
@@ -56,12 +57,11 @@ func newCluster(t *testing.T, n int, ccfg cluster.Config) (*cluster.Coordinator,
 	})
 	var nodes []*workerNode
 	for i := 0; i < n; i++ {
-		localCkpts := snapshot.NewMemStore()
-		localStreams := replay.NewMemStore()
+		localCkpts, localStreams := blob.NewMem(), blob.NewMem()
 		svc := service.New(service.Config{
 			Workers:            2,
-			Checkpoints:        &cluster.TieredSnapshots{Local: localCkpts, Remote: &cluster.SnapshotStore{Base: csrv.URL}},
-			Streams:            &cluster.TieredStreams{Local: localStreams, Remote: &cluster.StreamStore{Base: csrv.URL}},
+			Checkpoints:        snapshot.Codec.Over(&blob.Tiered{Local: localCkpts, Remote: &blob.Remote{Base: csrv.URL, Kind: snapshot.Codec.Kind}}),
+			Streams:            replay.Codec.Over(&blob.Tiered{Local: localStreams, Remote: &blob.Remote{Base: csrv.URL, Kind: replay.Codec.Kind}}),
 			PublishCheckpoints: localCkpts,
 			PublishStreams:     localStreams,
 		})
@@ -380,10 +380,10 @@ func TestCoordinatorStoreFanout(t *testing.T) {
 	// the coordinator must find it wherever it lives.
 	k := replay.Key{Workload: "gzip", Span: 2_000}
 	s := testStream(t, "gzip", 2_000)
-	if err := (&cluster.StreamStore{Base: nodes[0].srv.URL}).Put(k, s); err != nil {
+	if err := remoteStreams(nodes[0].srv.URL).Put(k, s); err != nil {
 		t.Fatal(err)
 	}
-	fleet := &cluster.StreamStore{Base: csrv.URL}
+	fleet := remoteStreams(csrv.URL)
 	got, ok, err := fleet.Get(k)
 	if err != nil || !ok {
 		t.Fatalf("fleet Get: ok=%v err=%v", ok, err)
@@ -404,7 +404,7 @@ func TestCoordinatorStoreFanout(t *testing.T) {
 	}
 	found := 0
 	for _, n := range nodes {
-		if _, ok, _ := (&cluster.StreamStore{Base: n.srv.URL}).Get(k2); ok {
+		if _, ok, _ := remoteStreams(n.srv.URL).Get(k2); ok {
 			found++
 		}
 	}

@@ -2,21 +2,20 @@ package cluster
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"sfcmdt/internal/blob"
+	"sfcmdt/internal/replay"
 	"sfcmdt/internal/service"
+	"sfcmdt/internal/snapshot"
 )
 
 // ErrNoWorkers means no healthy worker is eligible for a request (503).
@@ -360,10 +359,8 @@ func (c *Coordinator) do(ctx context.Context, rq service.RunRequest, wait bool, 
 //	POST /v1/deregister     graceful worker leave
 //	GET  /v1/healthz        200 accepting / 503 draining (also /healthz)
 //	GET  /v1/stats          cluster counters + per-worker state (also /statsz)
-//	GET  /v1/store/snapshot fleet checkpoint fetch (fan across workers)
-//	PUT  /v1/store/snapshot fleet checkpoint publish (to the key's owner)
-//	GET  /v1/store/stream   fleet stream fetch
-//	PUT  /v1/store/stream   fleet stream publish
+//	GET  /v1/store/{kind}   fleet blob fetch (fan across workers)
+//	PUT  /v1/store/{kind}   fleet blob publish (to the key's owner)
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", c.handleRun)
@@ -374,10 +371,10 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", c.handleStats)
 	mux.HandleFunc("GET /statsz", c.handleStats)
-	mux.HandleFunc("GET /v1/store/snapshot", func(w http.ResponseWriter, r *http.Request) { c.handleStoreGet(w, r, "snapshot") })
-	mux.HandleFunc("PUT /v1/store/snapshot", func(w http.ResponseWriter, r *http.Request) { c.handleStorePut(w, r, "snapshot") })
-	mux.HandleFunc("GET /v1/store/stream", func(w http.ResponseWriter, r *http.Request) { c.handleStoreGet(w, r, "stream") })
-	mux.HandleFunc("PUT /v1/store/stream", func(w http.ResponseWriter, r *http.Request) { c.handleStorePut(w, r, "stream") })
+	mux.Handle("/v1/store/", blob.Handler(
+		blob.Mount{Kind: snapshot.Codec.Kind, Store: fleetStore{c, snapshot.Codec.Kind}},
+		blob.Mount{Kind: replay.Codec.Kind, Store: fleetStore{c, replay.Codec.Kind}},
+	))
 	return mux
 }
 
@@ -616,58 +613,49 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleStoreGet fans a fleet store fetch across the healthy workers in the
-// key's ring order (the likely owner first); the first hit streams back with
-// its content hash. A worker that errors is skipped — a fleet-store miss
-// only costs the asker a re-materialization.
-func (c *Coordinator) handleStoreGet(w http.ResponseWriter, r *http.Request, kind string) {
-	c.nStoreGets.Add(1)
-	q := r.URL.Query()
-	for _, addr := range c.storeSequence(kind, q) {
-		b, ok, err := storeGet(c.httpc, baseURL(addr), kind, q)
-		if err != nil || !ok {
-			continue
-		}
-		c.nStoreHits.Add(1)
-		h := sha256.Sum256(b)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Content-SHA256", hex.EncodeToString(h[:]))
-		_, _ = w.Write(b)
-		return
-	}
-	writeJSONError(w, http.StatusNotFound, fmt.Errorf("no worker holds %s %s", kind, q.Encode()))
+// fleetStore is one blob kind across the fleet, served at /v1/store/{kind} by
+// the handler the workers mount too. Get tries the healthy workers in the
+// key's ring order (the likely owner first) and skips any that errors: a
+// fleet miss only costs the asker a re-materialization. Put goes to the
+// key's owner, falling down the ring if it refuses, so Get finds it first.
+type fleetStore struct {
+	c    *Coordinator
+	kind blob.Kind
 }
 
-// handleStorePut forwards a blob to the key's owner (falling down the ring
-// sequence if the owner refuses), so fleet-published blobs land where
-// routing will look for them first.
-func (c *Coordinator) handleStorePut(w http.ResponseWriter, r *http.Request, kind string) {
-	c.nStorePuts.Add(1)
-	q := r.URL.Query()
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRemoteBlobBytes))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("reading blob: %w", err))
-		return
+// peers is the healthy-worker preference order for a key. Keys are
+// canonical, so every node computes the same owner.
+func (f fleetStore) peers(key string) []*blob.Remote {
+	f.c.mu.Lock()
+	seq := f.c.ring.Sequence("store|" + f.kind.Name + "|" + key)
+	f.c.mu.Unlock()
+	rs := make([]*blob.Remote, len(seq))
+	for i, addr := range seq {
+		rs[i] = &blob.Remote{Base: addr, Kind: f.kind, HTTP: f.c.httpc}
 	}
+	return rs
+}
+
+func (f fleetStore) Get(key string) ([]byte, bool, error) {
+	f.c.nStoreGets.Add(1)
+	for _, r := range f.peers(key) {
+		if b, ok, err := r.Get(key); err == nil && ok {
+			f.c.nStoreHits.Add(1)
+			return b, true, nil
+		}
+	}
+	return nil, false, nil
+}
+
+func (f fleetStore) Put(key string, b []byte) error {
+	f.c.nStorePuts.Add(1)
 	var lastErr error = ErrNoWorkers
-	for _, addr := range c.storeSequence(kind, q) {
-		if err := storePut(c.httpc, baseURL(addr), kind, q, b); err != nil {
-			lastErr = err
-			continue
+	for _, r := range f.peers(key) {
+		if lastErr = r.Put(key, b); lastErr == nil {
+			return nil
 		}
-		w.WriteHeader(http.StatusNoContent)
-		return
 	}
-	writeJSONError(w, http.StatusBadGateway, fmt.Errorf("fleet store put failed: %w", lastErr))
-}
-
-// storeSequence is the healthy-worker preference order for a store key. The
-// key string is canonical (url.Values.Encode sorts), so every node computes
-// the same owner.
-func (c *Coordinator) storeSequence(kind string, q url.Values) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ring.Sequence("store|" + kind + "|" + q.Encode())
+	return fmt.Errorf("cluster: fleet %s put failed: %w", f.kind.Name, lastErr)
 }
 
 // WorkerInfo is one worker's row in the /v1/stats payload.

@@ -6,28 +6,43 @@ import (
 	"testing"
 
 	"sfcmdt/internal/arch"
-	"sfcmdt/internal/cluster"
+	"sfcmdt/internal/blob"
 	"sfcmdt/internal/replay"
 	"sfcmdt/internal/service"
 	"sfcmdt/internal/snapshot"
 	"sfcmdt/internal/workload"
 )
 
+// These tests drive the store wiring end to end through a worker's service
+// handler; the store semantics themselves are pinned once, for every store,
+// by internal/blob's conformance suite.
+
 // newStoreWorker starts a worker service whose published stores are fresh
-// in-memory tiers, returning the service, its base URL, and the tiers.
+// in-memory tiers, returning its server and typed views of the tiers.
 func newStoreWorker(t *testing.T) (*httptest.Server, snapshot.Store, replay.Store) {
 	t.Helper()
-	ckpts := snapshot.NewMemStore()
-	streams := replay.NewMemStore()
+	ckpts, streams := blob.NewMem(), blob.NewMem()
 	svc := service.New(service.Config{
-		Workers:     2,
-		Checkpoints: ckpts,
-		Streams:     streams,
+		Workers:            2,
+		Checkpoints:        snapshot.Codec.Over(ckpts),
+		Streams:            replay.Codec.Over(streams),
+		PublishCheckpoints: ckpts,
+		PublishStreams:     streams,
 	})
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 	t.Cleanup(func() { svc.BeginDrain() })
-	return srv, ckpts, streams
+	return srv, snapshot.Codec.Over(ckpts), replay.Codec.Over(streams)
+}
+
+// remoteSnapshots and remoteStreams are typed stores over a peer's
+// /v1/store API, as a worker reads the fleet through the coordinator.
+func remoteSnapshots(base string) snapshot.Store {
+	return snapshot.Codec.Over(&blob.Remote{Base: base, Kind: snapshot.Codec.Kind})
+}
+
+func remoteStreams(base string) replay.Store {
+	return replay.Codec.Over(&blob.Remote{Base: base, Kind: replay.Codec.Kind})
 }
 
 func testStream(t *testing.T, name string, span uint64) *replay.Stream {
@@ -45,7 +60,7 @@ func testStream(t *testing.T, name string, span uint64) *replay.Stream {
 
 func TestStreamStoreRoundtrip(t *testing.T) {
 	srv, _, local := newStoreWorker(t)
-	remote := &cluster.StreamStore{Base: srv.URL}
+	remote := remoteStreams(srv.URL)
 
 	k := replay.Key{Workload: "gzip", Span: 2_000}
 	if _, ok, err := remote.Get(k); err != nil || ok {
@@ -70,7 +85,7 @@ func TestStreamStoreRoundtrip(t *testing.T) {
 
 func TestSnapshotStoreRoundtrip(t *testing.T) {
 	srv, local, _ := newStoreWorker(t)
-	remote := &cluster.SnapshotStore{Base: srv.URL}
+	remote := remoteSnapshots(srv.URL)
 
 	w, _ := workload.Get("gzip")
 	m := arch.New(w.Build())
@@ -109,8 +124,9 @@ func TestTieredStreamsWriteBackAndDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	local := replay.NewMemStore()
-	tiered := &cluster.TieredStreams{Local: local, Remote: &cluster.StreamStore{Base: srv.URL}}
+	localBlobs := blob.NewMem()
+	local := replay.Codec.Over(localBlobs)
+	tiered := replay.Codec.Over(&blob.Tiered{Local: localBlobs, Remote: &blob.Remote{Base: srv.URL, Kind: replay.Codec.Kind}})
 	got, ok, err := tiered.Get(k)
 	if err != nil || !ok {
 		t.Fatalf("tiered Get via remote: ok=%v err=%v", ok, err)

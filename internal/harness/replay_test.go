@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"sfcmdt/internal/arch"
 	"sfcmdt/internal/pipeline"
 	"sfcmdt/internal/replay"
 	"sfcmdt/internal/sample"
@@ -11,10 +12,10 @@ import (
 	"sfcmdt/internal/workload"
 )
 
-// TestRunMatrixLockstepReplayIdentical pins the runner's two source modes
-// against each other end to end: the same workload × configuration matrix run
-// through the default replay streams and through the golden-model lockstep
-// oracle must produce identical statistics everywhere.
+// TestRunMatrixLockstepReplayIdentical pins the runner's replay streams to
+// the golden model end to end: the same workload × configuration matrix run
+// through the pooled runner and through fresh pipelines consuming the golden
+// AoS trace directly must produce identical statistics everywhere.
 func TestRunMatrixLockstepReplayIdentical(t *testing.T) {
 	ws := []workload.Workload{mustWorkload(t, "gzip"), mustWorkload(t, "mcf")}
 	pcfgs := []pipeline.Config{
@@ -27,17 +28,24 @@ func TestRunMatrixLockstepReplayIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay matrix: %v", err)
 	}
-	lr := NewRunner(5_000)
-	lr.Lockstep = true
-	lockRes, err := lr.RunMatrix(ws, pcfgs)
-	if err != nil {
-		t.Fatalf("lockstep matrix: %v", err)
-	}
-	for i := range ws {
-		for j := range pcfgs {
-			if *replayRes[i][j].Stats != *lockRes[i][j].Stats {
-				t.Errorf("%s under %s: replay diverged from lockstep\nreplay:   %+v\nlockstep: %+v",
-					ws[i].Name, pcfgs[j].Name, *replayRes[i][j].Stats, *lockRes[i][j].Stats)
+	for i, w := range ws {
+		img := w.Build()
+		tr, err := arch.RunTrace(img, 5_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, cfg := range pcfgs {
+			p, err := pipeline.NewWithTrace(cfg, img, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := p.Run()
+			if err != nil {
+				t.Fatalf("%s under %s: trace run: %v", w.Name, cfg.Name, err)
+			}
+			if *replayRes[i][j].Stats != *want {
+				t.Errorf("%s under %s: replay diverged from the trace\nreplay: %+v\ntrace:  %+v",
+					w.Name, cfg.Name, *replayRes[i][j].Stats, *want)
 			}
 		}
 	}

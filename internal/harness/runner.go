@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sfcmdt/internal/arch"
 	"sfcmdt/internal/metrics"
 	"sfcmdt/internal/par"
 	"sfcmdt/internal/pipeline"
@@ -88,16 +87,9 @@ type Runner struct {
 	// reference streams from: one functional pass per (workload, span),
 	// shared across every configuration, every budget that fits the
 	// materialized span, and — when several runners point at one cache —
-	// across runners. When nil (and Lockstep is off), the runner lazily
-	// creates a private in-process cache, so stream reuse within one runner
-	// needs no setup.
+	// across runners. When nil, the runner lazily creates a private
+	// in-process cache, so stream reuse within one runner needs no setup.
 	Replay *replay.Cache
-	// Lockstep switches full-detail runs back to the golden-model oracle:
-	// the pipeline consumes the functional simulator's AoS trace directly
-	// instead of a columnar replay stream. The two modes are pinned
-	// bit-identical by the replay equivalence tests; Lockstep exists as the
-	// oracle escape hatch, not as a differently-accurate mode.
-	Lockstep bool
 
 	mu    sync.Mutex
 	mats  map[string]*material
@@ -139,15 +131,14 @@ func (r *Runner) TotalRetired() uint64 { return r.retired.Load() }
 func (r *Runner) TotalCyclesElided() uint64 { return r.elided.Load() }
 
 // materialize returns the cached image and reference stream for a workload,
-// building them at most once even under concurrent misses. In the default
-// replay mode the stream comes from the runner's cache (creating a private
-// one on first use); in lockstep mode it is the golden AoS trace.
+// building them at most once even under concurrent misses. The stream comes
+// from the runner's cache, creating a private one on first use.
 func (r *Runner) materialize(w workload.Workload) (*prog.Image, pipeline.ReplaySource, error) {
 	r.mu.Lock()
 	if r.mats == nil {
 		r.mats = make(map[string]*material)
 	}
-	if !r.Lockstep && r.Replay == nil {
+	if r.Replay == nil {
 		r.Replay = replay.NewCache(nil)
 	}
 	cache := r.Replay
@@ -159,15 +150,6 @@ func (r *Runner) materialize(w workload.Workload) (*prog.Image, pipeline.ReplayS
 	r.mu.Unlock()
 	m.once.Do(func() {
 		img := w.Build()
-		if r.Lockstep {
-			tr, err := arch.RunTrace(img, r.MaxInsts)
-			if err != nil {
-				m.err = fmt.Errorf("harness: %s: %w", w.Name, err)
-				return
-			}
-			m.img, m.src = img, tr
-			return
-		}
 		v, err := cache.Source(img, "", r.MaxInsts, nil)
 		if err != nil {
 			m.err = fmt.Errorf("harness: %s: %w", w.Name, err)
@@ -193,11 +175,7 @@ func (r *Runner) prepare(w workload.Workload) (*sampMaterial, error) {
 	r.mu.Unlock()
 	m.once.Do(func() {
 		m.img = w.Build()
-		prep := sample.Prepare
-		if r.Lockstep {
-			prep = sample.PrepareLockstep
-		}
-		m.ivs, m.err = prep(m.img, *r.Sampling, r.Checkpoints, "")
+		m.ivs, m.err = sample.Prepare(m.img, *r.Sampling, r.Checkpoints, "")
 		if m.err != nil {
 			m.err = fmt.Errorf("harness: %s: %w", w.Name, m.err)
 		}

@@ -15,7 +15,7 @@ import (
 // proceed in parallel), and a stream materialized at a larger span serves
 // every smaller one as a prefix view. A backing Store, when present, is
 // probed before materializing and written after, so streams survive the
-// process (DiskStore) or are shared across caches (MemStore).
+// process (NewDiskStore) or are shared across caches (NewMemStore).
 //
 // Invalidation is structural, not temporal: streams are keyed by workload
 // name, args, and span, blobs are CRC'd and content-checked on every load,

@@ -12,8 +12,9 @@ import (
 // lean on when two server processes share one -replay-dir: two independent
 // DiskStore handles on the same directory racing Put and Get — including
 // different streams under the same key — must never surface a torn blob.
-// Every Get must decode (the codec CRC catches torn objects) and equal one
-// of the streams some writer put.
+// Every Get must decode and equal one of the streams some writer put.
+// blob.TestDiskTwoHandles pins the same race on raw bytes; this pins it
+// through Codec, with real streams.
 func TestDiskStoreCrossProcess(t *testing.T) {
 	dir := t.TempDir()
 	a, err := NewDiskStore(dir)

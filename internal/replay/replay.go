@@ -12,9 +12,9 @@
 // functional pass is paid once per workload instead of once per grid point.
 //
 // The columnar form is ~20 bytes per instruction against arch.Record's ~96,
-// and it serializes (see codec.go) into content-addressed stores (store.go)
-// mirroring internal/snapshot, so sweeps share streams in process via Cache
-// (cache.go) and across processes via a DiskStore.
+// and it serializes (see codec.go) into the content-addressed blob stores
+// internal/snapshot uses too (store.go), so sweeps share streams in process
+// via Cache (cache.go) and across processes via an on-disk store.
 package replay
 
 import (

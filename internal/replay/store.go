@@ -1,13 +1,10 @@
 package replay
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
+
+	"sfcmdt/internal/blob"
 )
 
 // Key identifies the execution a stream captures: which workload, with which
@@ -25,9 +22,9 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s|%s|#%d", k.Workload, k.Args, k.Span)
 }
 
-// Store is a stream store. Both implementations are content-addressed,
-// mirroring snapshot.Store: the index maps a Key to the SHA-256 of the
-// encoded stream, the blob is stored once per distinct content, and a blob
+// Store is a stream store. The ones this package builds are
+// content-addressed blob stores (package blob) seen through Codec, exactly as
+// snapshot.Store: the blob is stored once per distinct content, and a blob
 // whose bytes no longer match its hash is rejected on Get rather than
 // silently replayed.
 type Store interface {
@@ -38,175 +35,23 @@ type Store interface {
 	Put(k Key, s *Stream) error
 }
 
-// MemStore is an in-process Store, safe for concurrent use.
-type MemStore struct {
-	mu    sync.Mutex
-	index map[string]string // key string → content hash
-	blobs map[string][]byte // content hash → encoded stream
-}
+// Codec is the replay-stream blob family: SFRS blobs stored on disk as
+// objects/<sha256>.strm with index entries named by the hash of
+// "replay|"+key, and served at /v1/store/stream. The extension and the salt
+// differ from snapshot.Codec's, so one directory can hold both families.
+var Codec = blob.NewCodec[Key]("stream", ".strm", "replay|", (*Stream).Encode, Decode)
 
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{index: make(map[string]string), blobs: make(map[string][]byte)}
-}
+// NewMemStore returns an empty in-memory stream store.
+func NewMemStore() *blob.Typed[Key, *Stream] { return Codec.Over(blob.NewMem()) }
 
-func contentHash(b []byte) string {
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:])
-}
-
-// Get implements Store.
-func (m *MemStore) Get(k Key) (*Stream, bool, error) {
-	m.mu.Lock()
-	h, ok := m.index[k.String()]
-	b := m.blobs[h]
-	m.mu.Unlock()
-	if !ok {
-		return nil, false, nil
-	}
-	if contentHash(b) != h {
-		return nil, false, fmt.Errorf("replay: %s: blob hash mismatch", k)
-	}
-	s, err := Decode(b)
+// NewDiskStore opens (creating if needed) an on-disk stream store rooted at
+// dir, shareable across processes.
+func NewDiskStore(dir string) (*blob.Typed[Key, *Stream], error) {
+	d, err := blob.NewDisk(dir, Codec.Kind)
 	if err != nil {
-		return nil, false, fmt.Errorf("replay: %s: %w", k, err)
+		return nil, err
 	}
-	return s, true, nil
-}
-
-// Put implements Store.
-func (m *MemStore) Put(k Key, s *Stream) error {
-	b := s.Encode()
-	h := contentHash(b)
-	m.mu.Lock()
-	m.index[k.String()] = h
-	m.blobs[h] = b
-	m.mu.Unlock()
-	return nil
-}
-
-// Blobs returns the number of distinct stored contents (for tests asserting
-// dedup).
-func (m *MemStore) Blobs() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.blobs)
-}
-
-// DiskStore is an on-disk Store rooted at a directory:
-//
-//	<dir>/objects/<sha256>.strm       encoded streams, named by content hash
-//	<dir>/index/<sha256-of-key>.ref   two lines: key string, content hash
-//
-// Writes go through a temp file + rename, so a crashed Put leaves either the
-// old entry or the new one, never a torn file; concurrent processes are safe
-// because blobs are immutable once named and index renames are atomic. A
-// DiskStore can share its root with a snapshot.DiskStore — the object
-// extensions differ and the index keys cannot collide ("#span" vs "@insts"),
-// so one --dir serves both checkpoint and stream reuse.
-type DiskStore struct {
-	dir string
-	mu  sync.Mutex
-}
-
-// NewDiskStore opens (creating if needed) a store rooted at dir.
-func NewDiskStore(dir string) (*DiskStore, error) {
-	for _, sub := range []string{"objects", "index"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("replay: open store: %w", err)
-		}
-	}
-	return &DiskStore{dir: dir}, nil
-}
-
-func (d *DiskStore) indexPath(k Key) string {
-	h := sha256.Sum256([]byte("replay|" + k.String()))
-	return filepath.Join(d.dir, "index", hex.EncodeToString(h[:])+".ref")
-}
-
-func (d *DiskStore) objectPath(hash string) string {
-	return filepath.Join(d.dir, "objects", hash+".strm")
-}
-
-// writeAtomic writes b to path via a temp file in the same directory.
-func writeAtomic(path string, b []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// Get implements Store.
-func (d *DiskStore) Get(k Key) (*Stream, bool, error) {
-	ref, err := os.ReadFile(d.indexPath(k))
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("replay: %s: %w", k, err)
-	}
-	key, hash, ok := strings.Cut(strings.TrimSuffix(string(ref), "\n"), "\n")
-	if !ok || key != k.String() {
-		return nil, false, fmt.Errorf("replay: %s: corrupt index entry", k)
-	}
-	b, err := os.ReadFile(d.objectPath(hash))
-	if err != nil {
-		return nil, false, fmt.Errorf("replay: %s: %w", k, err)
-	}
-	if contentHash(b) != hash {
-		return nil, false, fmt.Errorf("replay: %s: blob %s fails content check", k, hash[:12])
-	}
-	s, err := Decode(b)
-	if err != nil {
-		return nil, false, fmt.Errorf("replay: %s: %w", k, err)
-	}
-	return s, true, nil
-}
-
-// Put implements Store.
-func (d *DiskStore) Put(k Key, s *Stream) error {
-	b := s.Encode()
-	hash := contentHash(b)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	obj := d.objectPath(hash)
-	if _, err := os.Stat(obj); os.IsNotExist(err) {
-		if err := writeAtomic(obj, b); err != nil {
-			return fmt.Errorf("replay: %s: %w", k, err)
-		}
-	} else if err != nil {
-		return fmt.Errorf("replay: %s: %w", k, err)
-	}
-	ref := k.String() + "\n" + hash + "\n"
-	if err := writeAtomic(d.indexPath(k), []byte(ref)); err != nil {
-		return fmt.Errorf("replay: %s: %w", k, err)
-	}
-	return nil
-}
-
-// Objects returns the number of distinct stored blobs (for tests).
-func (d *DiskStore) Objects() (int, error) {
-	ents, err := os.ReadDir(filepath.Join(d.dir, "objects"))
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".strm") {
-			n++
-		}
-	}
-	return n, nil
+	return Codec.Over(d), nil
 }
 
 // CountingStore wraps a Store and counts probes — the test hook behind the

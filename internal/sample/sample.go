@@ -86,9 +86,8 @@ func (p Plan) String() string {
 
 // Interval is one prepared measurement point: the warm architectural state
 // at the start of the detailed portion and the reference stream of the Warm +
-// Measure instructions that follow it — a compact columnar replay stream by
-// default, the golden AoS trace under PrepareLockstep. Both are read-only
-// after preparation and shared across configurations.
+// Measure instructions that follow it — a compact columnar replay stream,
+// read-only after preparation and shared across configurations.
 type Interval struct {
 	Offset uint64 // instructions retired before the detailed portion starts
 	Start  *pipeline.StartState
@@ -125,20 +124,15 @@ type Intervals struct {
 // early if the program halts; at least one interval must be preparable.
 //
 // Each interval's detailed portion is held as a compact columnar replay
-// stream (~4-5× smaller than the AoS trace it is converted from); use
-// PrepareLockstep to keep the golden traces instead.
+// stream (~4-5× smaller than the AoS trace it is converted from).
 func Prepare(img *prog.Image, plan Plan, store snapshot.Store, args string) (*Intervals, error) {
 	return prepare(img, plan, store, args, false)
 }
 
-// PrepareLockstep is Prepare with the golden-model AoS traces retained as the
-// interval sources — the lockstep-oracle mode, pinned bit-identical to replay
-// mode by the sampled equivalence tests.
-func PrepareLockstep(img *prog.Image, plan Plan, store snapshot.Store, args string) (*Intervals, error) {
-	return prepare(img, plan, store, args, true)
-}
-
-func prepare(img *prog.Image, plan Plan, store snapshot.Store, args string, lockstep bool) (*Intervals, error) {
+// prepare is Prepare, keeping each interval's golden AoS trace as its source
+// when trace is set: the reference the sampled equivalence tests pin the
+// replay streams to.
+func prepare(img *prog.Image, plan Plan, store snapshot.Store, args string, trace bool) (*Intervals, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -177,7 +171,7 @@ func prepare(img *prog.Image, plan Plan, store snapshot.Store, args string, lock
 	}
 	outs := make([]segResult, len(segs))
 	forEachIndex(len(segs), func(i int) {
-		outs[i] = prepareSegment(img, plan, store, args, lockstep, segs[i], states, getErrs)
+		outs[i] = prepareSegment(img, plan, store, args, trace, segs[i], states, getErrs)
 	})
 
 	// Join in plan order, reproducing the serial loop's early exit: a halt
@@ -212,7 +206,7 @@ type segResult struct {
 	err      error
 }
 
-func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args string, lockstep bool, seg [2]int, states []*snapshot.State, getErrs []error) (out segResult) {
+func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args string, trace bool, seg [2]int, states []*snapshot.State, getErrs []error) (out segResult) {
 	var m *arch.Machine
 	if st := states[seg[0]]; st != nil {
 		restored, err := st.Machine(img)
@@ -260,7 +254,7 @@ func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args strin
 			return
 		}
 		var src pipeline.ReplaySource = tr
-		if !lockstep {
+		if !trace {
 			s, err := replay.FromTrace(img, tr)
 			if err != nil {
 				out.err = err

@@ -277,11 +277,10 @@ func TestFastForwardSpeedup(t *testing.T) {
 	}
 }
 
-// TestSampledLockstepReplayIdentical pins sampled-mode replay to the
-// lockstep oracle: the same plan prepared as columnar streams (Prepare) and
-// as golden AoS traces (PrepareLockstep), measured under the same
-// configurations, must aggregate to identical statistics interval for
-// interval.
+// TestSampledLockstepReplayIdentical pins sampled-mode replay to the golden
+// model: the same plan prepared as columnar streams (Prepare) and as golden
+// AoS traces (PrepareTrace), measured under the same configurations, must
+// aggregate to identical statistics interval for interval.
 func TestSampledLockstepReplayIdentical(t *testing.T) {
 	plan := sample.Plan{FastForward: 4_000, Warm: 500, Measure: 1_000, Intervals: 3}
 	cfgs := []pipeline.Config{
@@ -294,7 +293,7 @@ func TestSampledLockstepReplayIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lock, err := sample.PrepareLockstep(img, plan, nil, "")
+		ref, err := sample.PrepareTrace(img, plan, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,12 +302,12 @@ func TestSampledLockstepReplayIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := lock.Run(context.Background(), cfg)
+			want, err := ref.Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if *got.Measured != *want.Measured || !reflect.DeepEqual(got.IntervalIPC, want.IntervalIPC) {
-				t.Errorf("%s under %s: sampled replay diverged from lockstep\nreplay:   %+v\nlockstep: %+v",
+				t.Errorf("%s under %s: sampled replay diverged from the trace\nreplay: %+v\ntrace:  %+v",
 					name, cfg.Name, *got.Measured, *want.Measured)
 			}
 		}

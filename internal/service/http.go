@@ -8,6 +8,10 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"sfcmdt/internal/blob"
+	"sfcmdt/internal/replay"
+	"sfcmdt/internal/snapshot"
 )
 
 // maxBodyBytes bounds request bodies; the schemas are tiny.
@@ -20,10 +24,8 @@ const maxBodyBytes = 1 << 20
 //	POST /v1/sweep          a grid of simulations -> NDJSON Result stream + summary
 //	GET  /v1/stats          serving counters      -> Snapshot JSON
 //	GET  /v1/healthz        readiness             -> 200 "ok" / 503 "draining"
-//	GET  /v1/store/snapshot checkpoint blob by key (cluster peers pull state)
-//	PUT  /v1/store/snapshot store a checkpoint blob
-//	GET  /v1/store/stream   replay-stream blob by key
-//	PUT  /v1/store/stream   store a replay-stream blob
+//	GET  /v1/store/{kind}   one blob by ?key=, kind snapshot or stream (blob.Handler
+//	PUT  /v1/store/{kind}   over Config.PublishCheckpoints/PublishStreams)
 //	GET  /healthz           readiness             -> legacy alias of /v1/healthz
 //	GET  /statsz            serving counters      -> Snapshot JSON (legacy alias)
 //
@@ -35,10 +37,10 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("GET /v1/stats", s.handleStatsz)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/store/snapshot", s.handleSnapshotGet)
-	mux.HandleFunc("PUT /v1/store/snapshot", s.handleSnapshotPut)
-	mux.HandleFunc("GET /v1/store/stream", s.handleStreamGet)
-	mux.HandleFunc("PUT /v1/store/stream", s.handleStreamPut)
+	mux.Handle("/v1/store/", blob.Handler(
+		blob.Mount{Kind: snapshot.Codec.Kind, Store: s.cfg.PublishCheckpoints},
+		blob.Mount{Kind: replay.Codec.Kind, Store: s.cfg.PublishStreams},
+	))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /statsz", s.handleStatsz)
 	return mux

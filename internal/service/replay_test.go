@@ -47,9 +47,6 @@ func TestSweepSharesReplayStreams(t *testing.T) {
 	if snap.ReplayMaterialized != 2 {
 		t.Errorf("grid over 2 workloads materialized %d streams, want 2", snap.ReplayMaterialized)
 	}
-	if snap.Lockstep {
-		t.Error("snapshot reports lockstep on a replay-mode service")
-	}
 
 	// A smaller budget lands in a different per-budget runner but the same
 	// service-wide cache: the 2000-inst gzip stream serves the 1000-inst
@@ -61,39 +58,6 @@ func TestSweepSharesReplayStreams(t *testing.T) {
 	if snap.ReplayMaterialized != 2 || snap.ReplayHits != 1 {
 		t.Errorf("smaller budget: materialized=%d hits=%d, want 2 and 1 (prefix reuse)",
 			snap.ReplayMaterialized, snap.ReplayHits)
-	}
-}
-
-// TestLockstepServiceBypassesStreams pins the oracle escape hatch: with
-// Config.Lockstep the backend consumes golden traces and the stream cache
-// stays untouched — while results stay bit-identical to replay mode (the
-// cache key does not include the mode, so this also pins that the two modes
-// may share a result cache only because they agree).
-func TestLockstepServiceBypassesStreams(t *testing.T) {
-	t.Cleanup(trackGoroutines(t))
-	ctx := context.Background()
-	rq := RunRequest{Workload: "swim", Mem: "mdtsfc", Insts: 2_000}
-
-	lock := newReplayTestService(t, Config{Workers: 2, Lockstep: true})
-	lockRes, err := lock.Do(ctx, rq, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := lock.Stats()
-	if snap.ReplayMaterialized != 0 || snap.ReplayHits != 0 || snap.ReplayStoreHits != 0 {
-		t.Errorf("lockstep service touched the stream cache: %+v", snap)
-	}
-	if !snap.Lockstep {
-		t.Error("snapshot does not report lockstep mode")
-	}
-
-	rep := newReplayTestService(t, Config{Workers: 2})
-	repRes, err := rep.Do(ctx, rq, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lockRes.Stats == nil || repRes.Stats == nil || *lockRes.Stats != *repRes.Stats {
-		t.Errorf("lockstep and replay services disagree:\nlockstep: %+v\nreplay:   %+v", lockRes.Stats, repRes.Stats)
 	}
 }
 

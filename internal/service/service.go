@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sfcmdt/internal/blob"
 	"sfcmdt/internal/harness"
 	"sfcmdt/internal/par"
 	"sfcmdt/internal/replay"
@@ -69,28 +70,25 @@ type Config struct {
 	// oversubscribing the pool.
 	SampleParallel int
 	// Checkpoints backs sampled runs' interval preparation. With a
-	// snapshot.DiskStore the fast-forward warmup survives restarts and is
-	// shared across processes; nil keeps checkpoints in process memory.
+	// snapshot.NewDiskStore store the fast-forward warmup survives restarts
+	// and is shared across processes; nil keeps checkpoints in process
+	// memory.
 	Checkpoints snapshot.Store
 	// Streams optionally backs the service-wide replay-stream cache with a
-	// persistent store (replay.DiskStore), so reference streams survive
+	// persistent store (replay.NewDiskStore), so reference streams survive
 	// restarts the way checkpoints do. nil keeps streams in process memory;
 	// the cache itself always exists and is shared by every runner, so all
 	// points of a sweep — and all budgets that fit a materialized span —
 	// reuse one functional pass per workload.
 	Streams replay.Store
-	// PublishCheckpoints and PublishStreams back the node's /v1/store
-	// endpoints — the locally owned tier a cluster peer may pull blobs
-	// from (Get/Put by key, verified on get). nil falls back to
-	// Checkpoints/Streams, which is correct for a standalone node whose
-	// stores are plain local stores. Cluster wiring MUST point these at
-	// the local tier, never at a fleet-backed tiered store, or a peer's
-	// Get would recurse through the coordinator back to this node.
-	PublishCheckpoints snapshot.Store
-	PublishStreams     replay.Store
-	// Lockstep switches backend runs to the golden-model lockstep oracle
-	// instead of replay streams (see harness.Runner.Lockstep).
-	Lockstep bool
+	// PublishCheckpoints and PublishStreams are the byte-level stores the
+	// node's /v1/store endpoints serve: the locally owned tier a cluster
+	// peer may pull blobs from and push blobs to. nil serves misses and
+	// refuses writes. Cluster wiring MUST point these at the local tier,
+	// never at a fleet-backed tiered store, or a peer's Get would recurse
+	// through the coordinator back to this node.
+	PublishCheckpoints blob.Store
+	PublishStreams     blob.Store
 	// Backend overrides the simulator-backed executor (tests only).
 	Backend Backend
 }
@@ -124,12 +122,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Checkpoints == nil {
 		c.Checkpoints = snapshot.NewMemStore()
-	}
-	if c.PublishCheckpoints == nil {
-		c.PublishCheckpoints = c.Checkpoints
-	}
-	if c.PublishStreams == nil {
-		c.PublishStreams = c.Streams // may stay nil: nothing published
 	}
 }
 
@@ -388,7 +380,6 @@ func (s *Service) runnerFor(insts uint64) *harness.Runner {
 	if !ok {
 		r = harness.NewRunner(insts)
 		r.Replay = s.replay
-		r.Lockstep = s.cfg.Lockstep
 		s.runners[insts] = r
 	}
 	return r
@@ -406,7 +397,6 @@ func (s *Service) samplerFor(sp SamplingSpec) *harness.Runner {
 		plan := sp.plan()
 		r.Sampling = &plan
 		r.Checkpoints = s.cfg.Checkpoints
-		r.Lockstep = s.cfg.Lockstep
 		r.Parallel = s.cfg.SampleParallel
 		s.samplers[sp.key()] = r
 	}
@@ -512,8 +502,6 @@ type Snapshot struct {
 	ReplayHits         uint64 `json:"replay_hits"`
 	ReplayStoreHits    uint64 `json:"replay_store_hits"`
 	ReplayMaterialized uint64 `json:"replay_materialized"`
-	// Lockstep reports the oracle escape hatch is on (streams unused).
-	Lockstep bool `json:"lockstep"`
 }
 
 // Stats returns a consistent snapshot of the serving counters.
@@ -543,7 +531,6 @@ func (s *Service) Stats() Snapshot {
 	snap.ReplayHits = rs.Hits
 	snap.ReplayStoreHits = rs.StoreHits
 	snap.ReplayMaterialized = rs.Materialized
-	snap.Lockstep = s.cfg.Lockstep
 	s.runnersMu.Lock()
 	for _, r := range s.runners {
 		snap.TotalRetired += r.TotalRetired()

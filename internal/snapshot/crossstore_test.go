@@ -11,8 +11,9 @@ import (
 // lean on when two server processes share one -checkpoint-dir: two
 // independent DiskStore handles on the same directory racing Put and Get —
 // including different states under the same key — must never surface a
-// torn or corrupt blob. The atomic temp-file+rename writes make every Get
-// decode intact and equal one of the states some writer put.
+// torn or corrupt blob. Every Get must decode intact and equal one of the
+// states some writer put. blob.TestDiskTwoHandles pins the same race on raw
+// bytes; this pins it through Codec, with real checkpoints.
 func TestDiskStoreCrossProcess(t *testing.T) {
 	dir := t.TempDir()
 	a, err := snapshot.NewDiskStore(dir)

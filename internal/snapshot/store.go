@@ -1,13 +1,9 @@
 package snapshot
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
+
+	"sfcmdt/internal/blob"
 )
 
 // Key identifies the simulation point a checkpoint captures: which workload,
@@ -24,11 +20,10 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s|%s|@%d", k.Workload, k.Args, k.Insts)
 }
 
-// Store is a checkpoint store. Both implementations are content-addressed:
-// the index maps a Key to the SHA-256 of the encoded state, and the blob is
-// stored once per distinct content — equal states under different keys share
-// storage, and a blob whose content no longer matches its hash is rejected
-// on Get rather than silently restored.
+// Store is a checkpoint store. The ones this package builds are
+// content-addressed blob stores (package blob) seen through Codec: equal
+// states under different keys share storage, and a blob whose content no
+// longer matches its hash is rejected on Get rather than silently restored.
 type Store interface {
 	// Get returns the state checkpointed under k, or ok=false if absent.
 	Get(k Key) (s *State, ok bool, err error)
@@ -36,171 +31,20 @@ type Store interface {
 	Put(k Key, s *State) error
 }
 
-// MemStore is an in-process Store, safe for concurrent use.
-type MemStore struct {
-	mu    sync.Mutex
-	index map[string]string // key string → content hash
-	blobs map[string][]byte // content hash → encoded state
-}
+// Codec is the checkpoint blob family: SFCP blobs stored on disk as
+// objects/<sha256>.snap with index entries named by the hash of the bare key,
+// and served at /v1/store/snapshot.
+var Codec = blob.NewCodec[Key]("snapshot", ".snap", "", (*State).Encode, Decode)
 
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{index: make(map[string]string), blobs: make(map[string][]byte)}
-}
+// NewMemStore returns an empty in-memory checkpoint store.
+func NewMemStore() *blob.Typed[Key, *State] { return Codec.Over(blob.NewMem()) }
 
-func contentHash(b []byte) string {
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:])
-}
-
-// Get implements Store.
-func (m *MemStore) Get(k Key) (*State, bool, error) {
-	m.mu.Lock()
-	h, ok := m.index[k.String()]
-	b := m.blobs[h]
-	m.mu.Unlock()
-	if !ok {
-		return nil, false, nil
-	}
-	if contentHash(b) != h {
-		return nil, false, fmt.Errorf("snapshot: %s: blob hash mismatch", k)
-	}
-	s, err := Decode(b)
+// NewDiskStore opens (creating if needed) an on-disk checkpoint store rooted
+// at dir, shareable across processes.
+func NewDiskStore(dir string) (*blob.Typed[Key, *State], error) {
+	d, err := blob.NewDisk(dir, Codec.Kind)
 	if err != nil {
-		return nil, false, fmt.Errorf("snapshot: %s: %w", k, err)
+		return nil, err
 	}
-	return s, true, nil
-}
-
-// Put implements Store.
-func (m *MemStore) Put(k Key, s *State) error {
-	b := s.Encode()
-	h := contentHash(b)
-	m.mu.Lock()
-	m.index[k.String()] = h
-	m.blobs[h] = b
-	m.mu.Unlock()
-	return nil
-}
-
-// Blobs returns the number of distinct stored contents (for tests asserting
-// dedup).
-func (m *MemStore) Blobs() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.blobs)
-}
-
-// DiskStore is an on-disk Store rooted at a directory:
-//
-//	<dir>/objects/<sha256>.snap   encoded states, named by content hash
-//	<dir>/index/<sha256-of-key>.ref   two lines: key string, content hash
-//
-// Writes go through a temp file + rename, so a crashed Put leaves either the
-// old entry or the new one, never a torn file. Safe for concurrent use
-// within a process; concurrent processes are safe too because blobs are
-// immutable once named and index renames are atomic.
-type DiskStore struct {
-	dir string
-	mu  sync.Mutex
-}
-
-// NewDiskStore opens (creating if needed) a store rooted at dir.
-func NewDiskStore(dir string) (*DiskStore, error) {
-	for _, sub := range []string{"objects", "index"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("snapshot: open store: %w", err)
-		}
-	}
-	return &DiskStore{dir: dir}, nil
-}
-
-func (d *DiskStore) indexPath(k Key) string {
-	h := sha256.Sum256([]byte(k.String()))
-	return filepath.Join(d.dir, "index", hex.EncodeToString(h[:])+".ref")
-}
-
-func (d *DiskStore) objectPath(hash string) string {
-	return filepath.Join(d.dir, "objects", hash+".snap")
-}
-
-// writeAtomic writes b to path via a temp file in the same directory.
-func writeAtomic(path string, b []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// Get implements Store.
-func (d *DiskStore) Get(k Key) (*State, bool, error) {
-	ref, err := os.ReadFile(d.indexPath(k))
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("snapshot: %s: %w", k, err)
-	}
-	key, hash, ok := strings.Cut(strings.TrimSuffix(string(ref), "\n"), "\n")
-	if !ok || key != k.String() {
-		return nil, false, fmt.Errorf("snapshot: %s: corrupt index entry", k)
-	}
-	b, err := os.ReadFile(d.objectPath(hash))
-	if err != nil {
-		return nil, false, fmt.Errorf("snapshot: %s: %w", k, err)
-	}
-	if contentHash(b) != hash {
-		return nil, false, fmt.Errorf("snapshot: %s: blob %s fails content check", k, hash[:12])
-	}
-	s, err := Decode(b)
-	if err != nil {
-		return nil, false, fmt.Errorf("snapshot: %s: %w", k, err)
-	}
-	return s, true, nil
-}
-
-// Put implements Store.
-func (d *DiskStore) Put(k Key, s *State) error {
-	b := s.Encode()
-	hash := contentHash(b)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	obj := d.objectPath(hash)
-	if _, err := os.Stat(obj); os.IsNotExist(err) {
-		if err := writeAtomic(obj, b); err != nil {
-			return fmt.Errorf("snapshot: %s: %w", k, err)
-		}
-	} else if err != nil {
-		return fmt.Errorf("snapshot: %s: %w", k, err)
-	}
-	ref := k.String() + "\n" + hash + "\n"
-	if err := writeAtomic(d.indexPath(k), []byte(ref)); err != nil {
-		return fmt.Errorf("snapshot: %s: %w", k, err)
-	}
-	return nil
-}
-
-// Objects returns the number of distinct stored blobs (for tests).
-func (d *DiskStore) Objects() (int, error) {
-	ents, err := os.ReadDir(filepath.Join(d.dir, "objects"))
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".snap") {
-			n++
-		}
-	}
-	return n, nil
+	return Codec.Over(d), nil
 }

@@ -40,22 +40,24 @@ func testStore(t *testing.T, st snapshot.Store) {
 	}
 }
 
+// The byte-level store semantics (content addressing, verify-on-get,
+// concurrency, shared directories) are pinned once, for every store, by
+// internal/blob's conformance suite; these tests pin the checkpoint codec
+// riding on top.
+
 func TestMemStore(t *testing.T) {
-	st := snapshot.NewMemStore()
-	testStore(t, st)
-	if n := st.Blobs(); n != 1 {
-		t.Fatalf("content addressing: %d blobs for 1 distinct state, want 1", n)
-	}
+	testStore(t, snapshot.NewMemStore())
 }
 
 func TestDiskStore(t *testing.T) {
-	st, err := snapshot.NewDiskStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := snapshot.NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	testStore(t, st)
-	if n, err := st.Objects(); err != nil || n != 1 {
-		t.Fatalf("content addressing: %d objects (err %v) for 1 distinct state, want 1", n, err)
+	if objs, err := filepath.Glob(filepath.Join(dir, "objects", "*.snap")); err != nil || len(objs) != 1 {
+		t.Fatalf("content addressing: objects %v (err %v) for 1 distinct state, want 1", objs, err)
 	}
 }
 
