@@ -111,26 +111,30 @@ func main() {
 	}
 
 	if *statsOnly {
-		if err := printStats(client, bases[0]); err != nil {
+		stats, err := fetchStats(client, bases[0])
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "sfcload: stats: %v\n", err)
 			os.Exit(1)
 		}
+		for _, kv := range stats {
+			fmt.Printf("%s %s\n", kv[0], kv[1])
+		}
 		return
 	}
-	fe := feAxes{bpreds: *bpreds, prefetches: *prefetches, preprobes: *preprobes}
+	sr, err := sweepRequest(*workloads, *configs, *mems, *preds, *bpreds, *prefetches, *preprobes, *insts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sfcload: %v\n", err)
+		os.Exit(2)
+	}
 	if *sweep {
-		if err := doSweep(client, bases[0], *workloads, *configs, *mems, *preds, fe, *insts, *canonical); err != nil {
+		if err := doSweep(client, bases[0], sr, *canonical); err != nil {
 			fmt.Fprintf(os.Stderr, "sfcload: sweep: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	grid := buildGrid(*workloads, *configs, *mems, *preds, fe, *insts)
-	if len(grid) == 0 {
-		fmt.Fprintln(os.Stderr, "sfcload: empty request grid")
-		os.Exit(2)
-	}
+	grid := sr.Expand()
 	bodies := make([][]byte, len(grid))
 	for i, rq := range grid {
 		b, err := json.Marshal(rq)
@@ -171,7 +175,7 @@ func main() {
 
 	report(&cts, elapsed)
 	if *showStatsz {
-		printStatsz(client, bases[0])
+		printServerLine(client, bases[0])
 	}
 
 	if cts.errors > 0 {
@@ -208,12 +212,6 @@ func waitHealthy(client *http.Client, base string, d time.Duration) error {
 	}
 }
 
-// feAxes carries the frontend grid axes as the raw comma-separated flag
-// values; empty axes mean the golden default.
-type feAxes struct {
-	bpreds, prefetches, preprobes string
-}
-
 // preprobeBools parses the pre-probe axis ("off"/"on", also "false"/"true").
 func preprobeBools(s string) ([]bool, error) {
 	var out []bool
@@ -231,7 +229,10 @@ func preprobeBools(s string) ([]bool, error) {
 	return out, nil
 }
 
-func buildGrid(workloads, configs, mems, preds string, fe feAxes, insts uint64) []service.RunRequest {
+// sweepRequest builds the one grid both modes use from the axis flags:
+// -sweep posts it, and a burst cycles through its expanded points. Empty
+// axes take the server's defaults; empty workloads mean every workload.
+func sweepRequest(workloads, configs, mems, preds, bpreds, prefetches, preprobes string, insts uint64) (service.SweepRequest, error) {
 	split := func(s string) []string {
 		var out []string
 		for _, f := range strings.Split(s, ",") {
@@ -239,43 +240,22 @@ func buildGrid(workloads, configs, mems, preds string, fe feAxes, insts uint64) 
 				out = append(out, f)
 			}
 		}
-		if len(out) == 0 {
-			out = []string{""}
-		}
 		return out
 	}
-	pps, err := preprobeBools(fe.preprobes)
+	pps, err := preprobeBools(preprobes)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sfcload: %v\n", err)
-		os.Exit(2)
+		return service.SweepRequest{}, err
 	}
-	if len(pps) == 0 {
-		pps = []bool{false}
-	}
-	var grid []service.RunRequest
-	for _, w := range split(workloads) {
-		if w == "" {
-			continue
-		}
-		for _, c := range split(configs) {
-			for _, m := range split(mems) {
-				for _, p := range split(preds) {
-					for _, bp := range split(fe.bpreds) {
-						for _, pf := range split(fe.prefetches) {
-							for _, pp := range pps {
-								grid = append(grid, service.RunRequest{
-									Workload: w, Config: c, Mem: m, Pred: p,
-									BPred: bp, Prefetch: pf, Preprobe: pp,
-									Insts: insts,
-								})
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return grid
+	return service.SweepRequest{
+		Workloads:  split(workloads),
+		Configs:    split(configs),
+		Mems:       split(mems),
+		Preds:      split(preds),
+		BPreds:     split(bpreds),
+		Prefetches: split(prefetches),
+		Preprobes:  pps,
+		Insts:      insts,
+	}, nil
 }
 
 func doOne(client *http.Client, base string, body []byte, cts *counters) {
@@ -365,34 +345,11 @@ func report(cts *counters, elapsed time.Duration) {
 	}
 }
 
-// doSweep posts the grid axes as one /v1/sweep, echoes each NDJSON line, and
+// doSweep posts the grid as one /v1/sweep, echoes each NDJSON line, and
 // fails if any grid point errored or the summary never arrived. In canonical
 // mode the echo is deferred: result lines are stripped of serving metadata,
 // sorted, and printed before a summary whose volatile fields are zeroed.
-func doSweep(client *http.Client, base, workloads, configs, mems, preds string, fe feAxes, insts uint64, canonical bool) error {
-	split := func(s string) []string {
-		var out []string
-		for _, f := range strings.Split(s, ",") {
-			if f = strings.TrimSpace(f); f != "" {
-				out = append(out, f)
-			}
-		}
-		return out
-	}
-	pps, err := preprobeBools(fe.preprobes)
-	if err != nil {
-		return err
-	}
-	sr := service.SweepRequest{
-		Workloads:  split(workloads),
-		Configs:    split(configs),
-		Mems:       split(mems),
-		Preds:      split(preds),
-		BPreds:     split(fe.bpreds),
-		Prefetches: split(fe.prefetches),
-		Preprobes:  pps,
-		Insts:      insts,
-	}
+func doSweep(client *http.Client, base string, sr service.SweepRequest, canonical bool) error {
 	body, err := json.Marshal(sr)
 	if err != nil {
 		return err
@@ -463,41 +420,42 @@ func doSweep(client *http.Client, base, workloads, configs, mems, preds string, 
 	return nil
 }
 
-// printStats prints /v1/stats as sorted "key value" lines for scripts.
-func printStats(client *http.Client, base string) error {
+// fetchStats GETs /v1/stats as "key value" pairs sorted by key. Decoding
+// into a generic map reads a worker's and a coordinator's payload alike.
+func fetchStats(client *http.Client, base string) ([][2]string, error) {
 	resp, err := client.Get(base + "/v1/stats")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
 	var kv map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&kv); err != nil {
-		return err
+		return nil, err
 	}
-	keys := make([]string, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
+	out := make([][2]string, 0, len(kv))
+	for k, v := range kv {
+		out = append(out, [2]string{k, strings.TrimSpace(string(v))})
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("%s %s\n", k, strings.TrimSpace(string(kv[k])))
-	}
-	return nil
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out, nil
 }
 
-func printStatsz(client *http.Client, base string) {
-	resp, err := client.Get(base + "/statsz")
+// printServerLine prints the server's scalar counters on one line after a
+// burst; lists, such as a coordinator's per-worker rows, are left to -stats.
+func printServerLine(client *http.Client, base string) {
+	stats, err := fetchStats(client, base)
 	if err != nil {
+		fmt.Fprintf(os.Stderr, "sfcload: stats: %v\n", err)
 		return
 	}
-	defer resp.Body.Close()
-	var snap service.Snapshot
-	if json.NewDecoder(resp.Body).Decode(&snap) != nil {
-		return
+	var b strings.Builder
+	for _, kv := range stats {
+		if v := kv[1]; v != "" && v[0] != '[' && v[0] != '{' {
+			fmt.Fprintf(&b, " %s=%s", kv[0], v)
+		}
 	}
-	fmt.Printf("server      %d requests, %d cache hits, %d coalesced, %d executed, %d rejected, %d canceled, %d retired insts\n",
-		snap.Requests, snap.CacheHits, snap.Coalesced, snap.Executed, snap.Rejected, snap.Canceled, snap.TotalRetired)
+	fmt.Printf("server     %s\n", b.String())
 }

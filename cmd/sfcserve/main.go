@@ -67,14 +67,15 @@ import (
 )
 
 func main() {
+	def := service.Limits{}.WithDefaults()
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file after listening (for scripts using port 0)")
 	workers := flag.Int("workers", 0, "concurrent backend runs (default GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth beyond workers (default 4x workers)")
 	cache := flag.Int("cache", 1024, "result cache entries")
-	defaultInsts := flag.Uint64("default-insts", 20_000, "instruction budget for requests that name none")
-	maxInsts := flag.Uint64("max-insts", 200_000, "largest per-request instruction budget")
-	maxFF := flag.Uint64("max-ff", 50_000_000, "largest per-request total functional fast-forward (sampled runs)")
+	defaultInsts := flag.Uint64("default-insts", def.DefaultInsts, "instruction budget for requests that name none")
+	maxInsts := flag.Uint64("max-insts", def.MaxInsts, "largest per-request instruction budget")
+	maxFF := flag.Uint64("max-ff", def.MaxFFInsts, "largest per-request total functional fast-forward (sampled runs)")
 	sampleParallel := flag.Int("sample-parallel", 0, "interval-level workers per sampled run (default GOMAXPROCS; 1 serializes; results bit-identical either way)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for the on-disk checkpoint store (default: in-memory)")
 	replayDir := flag.String("replay-dir", "", "directory for the on-disk replay-stream store (default: in-memory)")
@@ -94,119 +95,113 @@ func main() {
 	if *coordinator && *join != "" {
 		log.Fatalf("-coordinator and -join are mutually exclusive")
 	}
+	lim := service.Limits{DefaultInsts: *defaultInsts, MaxInsts: *maxInsts, MaxFFInsts: *maxFF}
+
+	var (
+		n       node
+		drained func() // logs the node's drain summary
+	)
 	if *coordinator {
-		runCoordinator(*addr, *addrFile, *drain, cluster.Config{
+		coord := cluster.New(cluster.Config{
+			Limits:        lim,
 			LoadFactor:    *loadFactor,
 			ProbeInterval: *probeInterval,
-			DefaultInsts:  *defaultInsts,
-			MaxInsts:      *maxInsts,
-			MaxFFInsts:    *maxFF,
 			Logf:          log.Printf,
 		})
-		return
-	}
-
-	if *clusterDir != "" {
-		if *ckptDir == "" {
-			*ckptDir = filepath.Join(*clusterDir, "checkpoints")
+		n = coord
+		drained = func() {
+			st := coord.ClusterStats()
+			log.Printf("drained: %d runs proxied (%d rerouted, %d failed), %d sweeps (%d points), %d/%d workers healthy",
+				st.Runs, st.Rerouted, st.Failed, st.Sweeps, st.SweepPoints, st.HealthyWorkers, st.TotalWorkers)
 		}
-		if *replayDir == "" {
-			*replayDir = filepath.Join(*clusterDir, "streams")
+	} else {
+		if *clusterDir != "" {
+			if *ckptDir == "" {
+				*ckptDir = filepath.Join(*clusterDir, "checkpoints")
+			}
+			if *replayDir == "" {
+				*replayDir = filepath.Join(*clusterDir, "streams")
+			}
+		}
+		// The node's own stores, which /v1/store publishes to peers: on
+		// disk when a directory is named, else in memory. Only a worker
+		// keeps an in-memory stream tier; a standalone node's replay cache
+		// is enough.
+		var ckpts, streams blob.Store = blob.NewMem(), nil
+		if *ckptDir != "" {
+			ckpts = openDisk(*ckptDir, snapshot.Codec.Kind, "checkpoint")
+		}
+		if *replayDir != "" {
+			streams = openDisk(*replayDir, replay.Codec.Kind, "replay-stream")
+		} else if *join != "" {
+			streams = blob.NewMem()
+		}
+
+		cfg := service.Config{
+			Workers:        *workers,
+			QueueDepth:     *queue,
+			CacheEntries:   *cache,
+			Limits:         lim,
+			SampleParallel: *sampleParallel,
+		}
+		cfg.PublishCheckpoints, cfg.PublishStreams = ckpts, streams
+		if *join != "" {
+			// Worker mode: read through local-first tiers backed by the
+			// fleet, but publish only the local tier: serving the tiered
+			// store would recurse a peer's fleet Get through the
+			// coordinator back here.
+			ckpts = &blob.Tiered{Local: ckpts, Remote: &blob.Remote{Base: *join, Kind: snapshot.Codec.Kind}}
+			streams = &blob.Tiered{Local: streams, Remote: &blob.Remote{Base: *join, Kind: replay.Codec.Kind}}
+		}
+		cfg.Checkpoints = snapshot.Codec.Over(ckpts)
+		if streams != nil {
+			cfg.Streams = replay.Codec.Over(streams)
+		}
+		svc := service.New(cfg)
+		n = svc
+		drained = func() {
+			st := svc.Stats()
+			log.Printf("drained: %d requests, %d cache hits, %d coalesced, %d executed, %d rejected",
+				st.Requests, st.CacheHits, st.Coalesced, st.Executed, st.Rejected)
+			log.Printf("replay streams: %d hits, %d store hits, %d materialized",
+				st.ReplayHits, st.ReplayStoreHits, st.ReplayMaterialized)
 		}
 	}
-	// The node's own stores, which /v1/store publishes to peers: on disk
-	// when a directory is named, else in memory. Only a worker keeps an
-	// in-memory stream tier; a standalone node's replay cache is enough.
-	var ckpts, streams blob.Store = blob.NewMem(), nil
-	if *ckptDir != "" {
-		ckpts = openDisk(*ckptDir, snapshot.Codec.Kind, "checkpoint")
-	}
-	if *replayDir != "" {
-		streams = openDisk(*replayDir, replay.Codec.Kind, "replay-stream")
-	} else if *join != "" {
-		streams = blob.NewMem()
-	}
-
-	cfg := service.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheEntries:   *cache,
-		DefaultInsts:   *defaultInsts,
-		MaxInsts:       *maxInsts,
-		MaxFFInsts:     *maxFF,
-		SampleParallel: *sampleParallel,
-	}
-	cfg.PublishCheckpoints, cfg.PublishStreams = ckpts, streams
-	if *join != "" {
-		// Worker mode: read through local-first tiers backed by the fleet,
-		// but publish only the local tier: serving the tiered store would
-		// recurse a peer's fleet Get through the coordinator back here.
-		ckpts = &blob.Tiered{Local: ckpts, Remote: &blob.Remote{Base: *join, Kind: snapshot.Codec.Kind}}
-		streams = &blob.Tiered{Local: streams, Remote: &blob.Remote{Base: *join, Kind: replay.Codec.Kind}}
-	}
-	cfg.Checkpoints = snapshot.Codec.Over(ckpts)
-	if streams != nil {
-		cfg.Streams = replay.Codec.Over(streams)
-	}
-	svc := service.New(cfg)
 
 	ln, bound := listen(*addr, *addrFile)
 	log.Printf("listening on %s", bound)
 
-	srv := newServer(svc.Handler())
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	// The heartbeat loop is canceled first on drain so the coordinator stops
-	// routing new points here before /v1/healthz flips.
-	joinDone := make(chan struct{})
-	var stopJoin context.CancelFunc = func() {}
+	// A worker heartbeats into its coordinator until it leaves, which the
+	// drain does first so the coordinator stops routing new points here
+	// before /v1/healthz flips.
+	leave := func() {}
 	if *join != "" {
 		adv := *advertise
 		if adv == "" {
 			adv = bound
 		}
-		var jctx context.Context
-		jctx, stopJoin = context.WithCancel(context.Background())
+		jctx, stopJoin := context.WithCancel(context.Background())
+		joined := make(chan struct{})
 		go func() {
-			defer close(joinDone)
+			defer close(joined)
 			cluster.Join(jctx, *join, adv, *heartbeat, log.Printf)
 		}()
-	} else {
-		close(joinDone)
+		leave = func() {
+			stopJoin()
+			<-joined
+		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		log.Fatalf("serve: %v", err)
-	case <-ctx.Done():
-	}
-	stop()
-	log.Printf("signal received; draining (deadline %s)", *drain)
-
-	// Leave the cluster first, then refuse new work so load balancers see
-	// /healthz flip, then wait for open connections and in-flight runs, then
-	// force-cancel stragglers.
-	stopJoin()
-	<-joinDone
-	svc.BeginDrain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("forcing connection close: %v", err)
-		_ = srv.Close()
-	}
-	if err := svc.Close(shutdownCtx); err != nil && !errors.Is(err, context.Canceled) {
-		log.Printf("drain deadline hit; in-flight runs canceled: %v", err)
-	}
-	st := svc.Stats()
-	log.Printf("drained: %d requests, %d cache hits, %d coalesced, %d executed, %d rejected",
-		st.Requests, st.CacheHits, st.Coalesced, st.Executed, st.Rejected)
-	log.Printf("replay streams: %d hits, %d store hits, %d materialized",
-		st.ReplayHits, st.ReplayStoreHits, st.ReplayMaterialized)
+	serve(ln, n, *drain, leave)
+	drained()
 	fmt.Println("sfcserve: clean shutdown")
+}
+
+// node is what sfcserve serves: a worker's service or a coordinator.
+type node interface {
+	Handler() http.Handler
+	BeginDrain()
+	Close(context.Context) error
 }
 
 // Server timeouts bound what a stalled client can hold open: its request
@@ -218,8 +213,36 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
-func newServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+// serve runs n on ln until SIGINT or SIGTERM, then drains: leave the
+// cluster first, then refuse new work so load balancers see /healthz flip,
+// then wait for open connections and in-flight work, force-canceling
+// stragglers at the drain deadline.
+func serve(ln net.Listener, n node, drain time.Duration, leave func()) {
+	srv := &http.Server{Handler: n.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	select {
+	case err := <-errc:
+		log.Fatalf("serve: %v", err)
+	case <-ctx.Done():
+	}
+	stop()
+	log.Printf("signal received; draining (deadline %s)", drain)
+
+	leave()
+	n.BeginDrain()
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		log.Printf("forcing connection close: %v", err)
+		_ = srv.Close()
+	}
+	if err := n.Close(shutdownCtx); err != nil && !errors.Is(err, context.Canceled) {
+		log.Printf("drain deadline hit; in-flight work canceled: %v", err)
+	}
 }
 
 // openDisk opens an on-disk blob store or exits.
@@ -250,40 +273,4 @@ func listen(addr, addrFile string) (net.Listener, string) {
 		}
 	}
 	return ln, bound
-}
-
-// runCoordinator serves the cluster routing plane until a signal drains it.
-func runCoordinator(addr, addrFile string, drain time.Duration, cfg cluster.Config) {
-	coord := cluster.New(cfg)
-	ln, bound := listen(addr, addrFile)
-	log.Printf("coordinator listening on %s", bound)
-
-	srv := newServer(coord.Handler())
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		log.Fatalf("serve: %v", err)
-	case <-ctx.Done():
-	}
-	stop()
-	log.Printf("signal received; draining (deadline %s)", drain)
-
-	coord.BeginDrain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("forcing connection close: %v", err)
-		_ = srv.Close()
-	}
-	if err := coord.Close(shutdownCtx); err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("drain deadline hit; in-flight proxied requests abandoned: %v", err)
-	}
-	st := coord.ClusterStats()
-	log.Printf("drained: %d runs proxied (%d rerouted, %d failed), %d sweeps (%d points), %d/%d workers healthy",
-		st.Runs, st.Rerouted, st.Failed, st.Sweeps, st.SweepPoints, st.HealthyWorkers, st.TotalWorkers)
-	fmt.Println("sfcserve: clean shutdown")
 }

@@ -14,9 +14,9 @@ import (
 	"sfcmdt/internal/service"
 )
 
-// defaultHTTP serves cluster-internal calls that were handed no client. The
-// generous timeout is a backstop only; per-attempt deadlines come from the
-// coordinator's RequestTimeout via context.
+// defaultHTTP serves every cluster-internal call. The generous timeout is a
+// backstop only; per-attempt deadlines come from the coordinator's
+// requestTimeout via context.
 var defaultHTTP = &http.Client{Timeout: 5 * time.Minute}
 
 // RemoteError is a non-200 HTTP response from a peer — the worker answered,
@@ -69,15 +69,7 @@ func baseURL(addr string) string {
 
 // WorkerClient speaks the service's HTTP API to one worker node.
 type WorkerClient struct {
-	Addr string       // host:port or full base URL
-	HTTP *http.Client // nil uses the package default
-}
-
-func (w *WorkerClient) http() *http.Client {
-	if w.HTTP != nil {
-		return w.HTTP
-	}
-	return defaultHTTP
+	Addr string // host:port or full base URL
 }
 
 // remoteErr decodes the service's {"error": ...} body into a RemoteError.
@@ -93,9 +85,10 @@ func remoteErr(resp *http.Response) error {
 	return &RemoteError{Status: resp.StatusCode, Msg: msg}
 }
 
-// Run executes one normalized request on the worker. wait selects the
-// queueing admission policy (?wait=1) used for sweep points; without it the
-// worker's 429 backpressure passes through as a retryable RemoteError.
+// Run executes one request on the worker, as the client sent it: the
+// worker normalizes it itself. wait selects the queueing admission policy
+// (?wait=1) used for sweep points; without it the worker's 429
+// backpressure passes through as a retryable RemoteError.
 func (w *WorkerClient) Run(ctx context.Context, rq service.RunRequest, wait bool) (*service.Result, error) {
 	body, err := json.Marshal(rq)
 	if err != nil {
@@ -110,7 +103,7 @@ func (w *WorkerClient) Run(ctx context.Context, rq service.RunRequest, wait bool
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.http().Do(req)
+	resp, err := defaultHTTP.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +128,7 @@ func (w *WorkerClient) Healthz(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	resp, err := w.http().Do(req)
+	resp, err := defaultHTTP.Do(req)
 	if err != nil {
 		return err
 	}
@@ -147,28 +140,4 @@ func (w *WorkerClient) Healthz(ctx context.Context) error {
 		return remoteErr(resp)
 	}
 	return nil
-}
-
-// Stats fetches the worker's serving counters.
-func (w *WorkerClient) Stats(ctx context.Context) (*service.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL(w.Addr)+"/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return nil, remoteErr(resp)
-	}
-	var snap service.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -373,6 +374,47 @@ func TestClusterSweepSurvivesMidSweepKill(t *testing.T) {
 	}
 }
 
+// TestClusterSampledMatchesSingleNode pins that sampled requests route like
+// any other: a sampled /v1/run and a sampled /v1/sweep through a two-worker
+// cluster give the same canonical output as a single node.
+func TestClusterSampledMatchesSingleNode(t *testing.T) {
+	_, csrv, _ := newCluster(t, 2, cluster.Config{})
+	ref := service.New(service.Config{Workers: 2})
+	refSrv := httptest.NewServer(ref.Handler())
+	t.Cleanup(refSrv.Close)
+	t.Cleanup(func() { ref.BeginDrain() })
+
+	plan := &service.SamplingSpec{FF: 1000, Warm: 200, Measure: 500, Intervals: 2}
+	rq := service.RunRequest{Workload: "gzip", Sampling: plan}
+	want, status := postRun(t, refSrv.URL, rq)
+	if status != http.StatusOK {
+		t.Fatalf("single-node sampled run: status %d", status)
+	}
+	got, status := postRun(t, csrv.URL, rq)
+	if status != http.StatusOK {
+		t.Fatalf("sampled run through the coordinator: status %d", status)
+	}
+	if !bytes.Equal(mustJSON(t, got.Canonical()), mustJSON(t, want.Canonical())) {
+		t.Fatalf("sampled run differs:\n cluster %s\n single  %s", mustJSON(t, got.Canonical()), mustJSON(t, want.Canonical()))
+	}
+
+	sr := service.SweepRequest{Workloads: []string{"gzip", "mcf"}, Mems: []string{"mdtsfc", "lsq"}, Sampling: plan}
+	wantLines, _ := sweepLines(t, refSrv.URL, sr)
+	gotLines, sum := sweepLines(t, csrv.URL, sr)
+	if sum.Errors != 0 || sum.OK != 4 {
+		t.Fatalf("sampled sweep through the coordinator: %+v, want 4/4 ok", sum)
+	}
+	gotC, wantC := canonicalize(t, gotLines), canonicalize(t, wantLines)
+	if len(gotC) != len(wantC) {
+		t.Fatalf("sampled sweep returned %d lines, single node %d", len(gotC), len(wantC))
+	}
+	for i := range wantC {
+		if gotC[i] != wantC[i] {
+			t.Fatalf("sampled sweep line %d differs:\n cluster %s\n single  %s", i, gotC[i], wantC[i])
+		}
+	}
+}
+
 func TestCoordinatorStoreFanout(t *testing.T) {
 	_, csrv, nodes := newCluster(t, 2, cluster.Config{})
 
@@ -442,6 +484,61 @@ func TestCoordinatorDrainRefusesNewWork(t *testing.T) {
 	defer cancel()
 	if err := coord.Close(ctx); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestCoordinatorCloseWaitsForInFlight pins that Close waits for a proxied
+// run, and for a sweep point, still executing on a worker.
+func TestCoordinatorCloseWaitsForInFlight(t *testing.T) {
+	for _, req := range [][2]string{
+		{"/v1/run", `{"workload":"gzip","insts":3000}`},
+		{"/v1/sweep", `{"workloads":["gzip"],"insts":3000}`},
+	} {
+		t.Run(req[0], func(t *testing.T) {
+			started, release := make(chan struct{}), make(chan struct{})
+			free := sync.OnceFunc(func() { close(release) })
+			worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/v1/run" {
+					return // health probes: 200
+				}
+				close(started)
+				<-release
+				json.NewEncoder(w).Encode(service.Result{Workload: "gzip"})
+			}))
+			defer worker.Close()
+			coord := cluster.New(cluster.Config{ProbeInterval: time.Hour})
+			csrv := httptest.NewServer(coord.Handler())
+			defer csrv.Close()
+			defer free() // first: a failed check must not leave the servers blocked
+			coord.Register(worker.URL)
+
+			status := make(chan int, 1)
+			go func() {
+				resp, err := http.Post(csrv.URL+req[0], "application/json", strings.NewReader(req[1]))
+				if err != nil {
+					status <- 0
+					return
+				}
+				resp.Body.Close()
+				status <- resp.StatusCode
+			}()
+			<-started
+
+			closed := make(chan error, 1)
+			go func() { closed <- coord.Close(context.Background()) }()
+			select {
+			case err := <-closed:
+				t.Fatalf("Close returned (%v) with a request in flight", err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			free()
+			if err := <-closed; err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if got := <-status; got != http.StatusOK {
+				t.Fatalf("in-flight request finished with status %d, want 200", got)
+			}
+		})
 	}
 }
 

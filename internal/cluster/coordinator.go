@@ -18,85 +18,65 @@ import (
 	"sfcmdt/internal/snapshot"
 )
 
-// ErrNoWorkers means no healthy worker is eligible for a request (503).
-var ErrNoWorkers = errors.New("cluster: no healthy workers")
+// ErrNoWorkers means no healthy worker is eligible for a request: 503, and
+// a worker may register within the second.
+var ErrNoWorkers error = &service.StatusError{
+	Status:     http.StatusServiceUnavailable,
+	RetryAfter: "1",
+	Msg:        "cluster: no healthy workers",
+}
+
+// Fixed routing parameters.
+const (
+	// ringReplicas is the ring's virtual points per worker: plenty for
+	// single-digit fleets to balance within ~10%.
+	ringReplicas = 64
+	// probeTimeout bounds one health probe.
+	probeTimeout = 2 * time.Second
+	// retryMax bounds attempts per proxied run, the first included.
+	retryMax = 4
+	// requestTimeout bounds one proxied attempt. A sweep point queues on
+	// its worker, so the deadline covers queueing too.
+	requestTimeout = 5 * time.Minute
+	// sweepFanout is a sweep's in-flight points per healthy worker, and its
+	// minimum.
+	sweepFanout = 4
+)
 
 // Config sizes the coordinator.
 type Config struct {
-	// Replicas is the ring's virtual points per worker (default 64).
-	Replicas int
+	// Limits must match the workers': the coordinator normalizes each
+	// request exactly as a worker will, to route it by placement key.
+	service.Limits
 	// LoadFactor is the bounded-load factor c: a worker whose in-flight
 	// load reaches ceil(c·(total+1)/n) spills keys to its ring successor.
 	// <=1 disables spilling (pure ownership). Default 1.25.
 	LoadFactor float64
-	// ProbeInterval is the health-check cadence (default 1s); ProbeTimeout
-	// bounds one probe (default 2s); ProbeFailures consecutive probe or
-	// transport failures eject a worker from the ring (default 2).
+	// ProbeInterval is the health-check cadence (default 1s);
+	// ProbeFailures consecutive probe or transport failures eject a worker
+	// from the ring (default 2).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	ProbeFailures int
-	// RetryMax bounds attempts per proxied run, the first included
-	// (default 4); RetryBase is the exponential-backoff base between
-	// attempts (default 50ms, doubling each retry).
-	RetryMax  int
+	// RetryBase is the exponential-backoff base between attempts
+	// (default 50ms, doubling each retry).
 	RetryBase time.Duration
-	// RequestTimeout bounds one proxied attempt (default 5m — a sweep
-	// point queues on the worker, so the deadline covers queueing too).
-	RequestTimeout time.Duration
-	// MaxSweepPoints bounds one sweep grid (default 4096).
-	MaxSweepPoints int
-	// SweepFanout bounds a sweep's concurrently in-flight points; 0 sizes
-	// it at 4 points per healthy worker (min 4) when the sweep starts.
-	SweepFanout int
-	// DefaultInsts/MaxInsts/MaxFFInsts must mirror the workers'
-	// normalization caps: the coordinator computes routing keys with
-	// exactly the normalization the workers apply. Defaults match
-	// service.Config's defaults.
-	DefaultInsts uint64
-	MaxInsts     uint64
-	MaxFFInsts   uint64
-	// HTTP overrides the client used for worker calls (tests).
-	HTTP *http.Client
 	// Logf receives cluster membership and reroute events (nil discards).
 	Logf func(format string, args ...any)
 }
 
 func (c *Config) fillDefaults() {
-	if c.Replicas <= 0 {
-		c.Replicas = 64
-	}
+	c.Limits = c.Limits.WithDefaults()
 	if c.LoadFactor == 0 {
 		c.LoadFactor = 1.25
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
 	if c.ProbeFailures <= 0 {
 		c.ProbeFailures = 2
 	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 4
-	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 5 * time.Minute
-	}
-	if c.MaxSweepPoints == 0 {
-		c.MaxSweepPoints = 4096
-	}
-	if c.DefaultInsts == 0 {
-		c.DefaultInsts = 20_000
-	}
-	if c.MaxInsts == 0 {
-		c.MaxInsts = 200_000
-	}
-	if c.MaxFFInsts == 0 {
-		c.MaxFFInsts = 50_000_000
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -116,7 +96,6 @@ type pin struct {
 // via Handler, stop with BeginDrain + Close.
 type Coordinator struct {
 	cfg   Config
-	httpc *http.Client
 	start time.Time
 	logf  func(string, ...any)
 
@@ -125,7 +104,7 @@ type Coordinator struct {
 	workers  map[string]*workerState
 	draining bool
 
-	wg         sync.WaitGroup // in-flight run/sweep handlers, for drain
+	wg         sync.WaitGroup // in-flight runs and sweeps, for drain
 	loopCancel context.CancelFunc
 
 	nRuns        atomic.Uint64
@@ -147,14 +126,10 @@ func New(cfg Config) *Coordinator {
 	cfg.fillDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
-		httpc:   cfg.HTTP,
 		start:   time.Now(),
 		logf:    cfg.Logf,
-		ring:    NewRing(cfg.Replicas),
+		ring:    NewRing(ringReplicas),
 		workers: make(map[string]*workerState),
-	}
-	if c.httpc == nil {
-		c.httpc = defaultHTTP
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c.loopCancel = cancel
@@ -283,25 +258,74 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 	return c.cfg.RetryBase << shift
 }
 
-// Do proxies one run request to the fleet: normalize (the same
-// canonicalization the workers apply, so the routing key is exact), pick the
-// placement key's owner, execute remotely with a per-attempt timeout, and on
-// node failure reroute to the next worker with exponential backoff. Safe
-// because runs are deterministic and keyed: a replayed point is bit-identical
-// to the run that was lost, wherever it lands.
+// Do proxies one run request to the fleet: pick the placement key's owner,
+// execute remotely with a per-attempt timeout, and on node failure reroute
+// to the next worker with exponential backoff. Safe because runs are
+// deterministic and keyed: a replayed point is bit-identical to the run that
+// was lost, wherever it lands.
 func (c *Coordinator) Do(ctx context.Context, rq service.RunRequest, wait bool) (*service.Result, error) {
-	return c.do(ctx, rq, wait, nil)
-}
-
-func (c *Coordinator) do(ctx context.Context, rq service.RunRequest, wait bool, p *pin) (*service.Result, error) {
-	if err := rq.Normalize(c.cfg.DefaultInsts, c.cfg.MaxInsts, c.cfg.MaxFFInsts); err != nil {
+	if !c.begin() {
+		return nil, service.ErrDraining
+	}
+	defer c.end()
+	key, err := c.placementKey(rq)
+	if err != nil {
 		return nil, err
 	}
+	return c.route(ctx, key, rq, wait, nil)
+}
+
+// Sweep admits one sweep for the front end. Its points queue on their
+// workers, sweepFanout per healthy worker in flight, and the points of each
+// placement key are pinned to one worker for the sweep: a workload's stream
+// and checkpoints materialize on exactly one node. A group whose worker dies
+// mid-sweep re-pins to the next owner and its failed points re-execute there
+// — bit-identical, because the grid is deterministic and keyed.
+func (c *Coordinator) Sweep(n int) (int, func(context.Context, service.RunRequest) (*service.Result, error), func(), error) {
+	if !c.begin() {
+		return 0, nil, nil, service.ErrDraining
+	}
+	c.nSweeps.Add(1)
+	c.nSweepPoints.Add(uint64(n))
+	c.mu.Lock()
+	width := max(sweepFanout*c.ring.Len(), sweepFanout)
+	c.mu.Unlock()
+	var mu sync.Mutex
+	pins := make(map[string]*pin)
+	point := func(ctx context.Context, rq service.RunRequest) (*service.Result, error) {
+		key, err := c.placementKey(rq)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		p := pins[key]
+		if p == nil {
+			p = &pin{}
+			pins[key] = p
+		}
+		mu.Unlock()
+		return c.route(ctx, key, rq, true, p)
+	}
+	return width, point, c.end, nil
+}
+
+// placementKey normalizes a copy of rq exactly as the workers will and
+// returns its placement key. The request itself is forwarded as the client
+// sent it: normalization sets a sampled request's Insts to the plan span,
+// and a worker rejects insts together with sampling.
+func (c *Coordinator) placementKey(rq service.RunRequest) (string, error) {
+	if err := rq.Normalize(c.cfg.DefaultInsts, c.cfg.MaxInsts, c.cfg.MaxFFInsts); err != nil {
+		return "", err
+	}
+	return rq.PlacementKey(), nil
+}
+
+// route runs rq on key's owner, or on p's worker while that pin holds.
+func (c *Coordinator) route(ctx context.Context, key string, rq service.RunRequest, wait bool, p *pin) (*service.Result, error) {
 	c.nRuns.Add(1)
-	key := rq.PlacementKey()
 	tried := make(map[string]bool)
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.RetryMax; attempt++ {
+	for attempt := 0; attempt < retryMax; attempt++ {
 		if attempt > 0 {
 			if err := sleepCtx(ctx, c.backoff(attempt)); err != nil {
 				return nil, err
@@ -321,7 +345,7 @@ func (c *Coordinator) do(ctx context.Context, rq service.RunRequest, wait bool, 
 		if attempt > 0 {
 			c.nRerouted.Add(1)
 		}
-		actx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+		actx, cancel := context.WithTimeout(ctx, requestTimeout)
 		res, err := ws.client.Run(actx, rq, wait)
 		cancel()
 		c.release(ws.addr)
@@ -339,277 +363,88 @@ func (c *Coordinator) do(ctx context.Context, rq service.RunRequest, wait bool, 
 			c.noteFailure(ws.addr)
 		}
 		if !retryable(err) {
-			c.nFailed.Add(1)
-			return nil, err
+			break
 		}
 		tried[ws.addr] = true
 		c.nRetries.Add(1)
 	}
 	c.nFailed.Add(1)
-	return nil, fmt.Errorf("cluster: %s: giving up after %d attempts: %w", key, c.cfg.RetryMax, lastErr)
+	return nil, giveUp(key, lastErr)
 }
 
-// Handler returns the coordinator's HTTP API — the same /v1/run and
-// /v1/sweep shapes the workers serve (a client cannot tell a coordinator
-// from a big worker), plus registration and the fleet store:
+// giveUp is a proxied run's final error, carrying its own status. A worker's
+// last answer is relayed with its status and message, a 429 keeping its
+// backpressure hint. Otherwise no worker answered: an empty fleet keeps
+// ErrNoWorkers' status, and transport failure on every attempt is 502 — the
+// coordinator is honest about being a proxy.
+func giveUp(key string, err error) error {
+	var re *RemoteError
+	if errors.As(err, &re) {
+		se := &service.StatusError{Status: re.Status, Msg: re.Msg}
+		if re.Status == http.StatusTooManyRequests {
+			se.RetryAfter = "1"
+		}
+		return se
+	}
+	status, retryAfter := http.StatusBadGateway, ""
+	var se *service.StatusError
+	if errors.As(err, &se) { // ErrNoWorkers
+		status, retryAfter = se.Status, se.RetryAfter
+	}
+	return &service.StatusError{
+		Status:     status,
+		RetryAfter: retryAfter,
+		Msg:        fmt.Sprintf("cluster: %s: giving up after %d attempts: %v", key, retryMax, err),
+	}
+}
+
+// Handler returns the coordinator's HTTP API: the /v1 front end the workers
+// serve (service.NewMux; a client cannot tell a coordinator from a big
+// worker) over the fleet store, plus registration:
 //
-//	POST /v1/run            proxy one run to its owner (reroute on failure)
-//	POST /v1/sweep          fan a grid out per placement key -> NDJSON
 //	POST /v1/register       worker heartbeat {"addr": "host:port"}
 //	POST /v1/deregister     graceful worker leave
-//	GET  /v1/healthz        200 accepting / 503 draining (also /healthz)
-//	GET  /v1/stats          cluster counters + per-worker state (also /statsz)
 //	GET  /v1/store/{kind}   fleet blob fetch (fan across workers)
 //	PUT  /v1/store/{kind}   fleet blob publish (to the key's owner)
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", c.handleRun)
-	mux.HandleFunc("POST /v1/sweep", c.handleSweep)
+	mux := service.NewMux(c, fleetStore{c, snapshot.Codec.Kind}, fleetStore{c, replay.Codec.Kind})
 	mux.HandleFunc("POST /v1/register", c.handleRegister)
 	mux.HandleFunc("POST /v1/deregister", c.handleDeregister)
-	mux.HandleFunc("GET /v1/healthz", c.handleHealthz)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /v1/stats", c.handleStats)
-	mux.HandleFunc("GET /statsz", c.handleStats)
-	mux.Handle("/v1/store/", blob.Handler(
-		blob.Mount{Kind: snapshot.Codec.Kind, Store: fleetStore{c, snapshot.Codec.Kind}},
-		blob.Mount{Kind: replay.Codec.Kind, Store: fleetStore{c, replay.Codec.Kind}},
-	))
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeJSONError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// writeClusterError maps proxy errors onto HTTP statuses: request errors are
-// 400, fleet exhaustion 503, a worker's own final answer passes through with
-// its status (429 keeps its backpressure semantics), and transport failure
-// after every retry is 502 — the coordinator is honest about being a proxy.
-func writeClusterError(w http.ResponseWriter, err error) {
-	var re *RemoteError
-	switch {
-	case errors.Is(err, service.ErrBadRequest):
-		writeJSONError(w, http.StatusBadRequest, err)
-	case errors.Is(err, ErrNoWorkers):
-		w.Header().Set("Retry-After", "1")
-		writeJSONError(w, http.StatusServiceUnavailable, err)
-	case errors.As(err, &re):
-		if re.Status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeJSONError(w, re.Status, errors.New(re.Msg))
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		writeJSONError(w, http.StatusServiceUnavailable, err)
-	default:
-		writeJSONError(w, http.StatusBadGateway, err)
+// workerAddr decodes a registration body, answering 400 if it names none.
+func workerAddr(w http.ResponseWriter, r *http.Request) (string, bool) {
+	var body struct {
+		Addr string `json:"addr"`
 	}
-}
-
-func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
-	if !c.begin() {
-		w.Header().Set("Retry-After", "5")
-		writeJSONError(w, http.StatusServiceUnavailable, errors.New("draining: coordinator is shutting down"))
-		return
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&body); err != nil || body.Addr == "" {
+		service.WriteError(w, fmt.Errorf(`%w: want {"addr": "host:port"}`, service.ErrBadRequest))
+		return "", false
 	}
-	defer c.end()
-	var rq service.RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rq); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	res, err := c.Do(r.Context(), rq, false)
-	if err != nil {
-		writeClusterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	return body.Addr, true
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if c.Draining() {
-		writeJSONError(w, http.StatusServiceUnavailable, errors.New("draining"))
+		service.WriteError(w, service.ErrDraining)
 		return
 	}
-	var body struct {
-		Addr string `json:"addr"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&body); err != nil || body.Addr == "" {
-		writeJSONError(w, http.StatusBadRequest, errors.New("register: want {\"addr\": \"host:port\"}"))
+	addr, ok := workerAddr(w, r)
+	if !ok {
 		return
 	}
-	c.Register(body.Addr)
+	c.Register(addr)
 	c.mu.Lock()
 	n := c.ring.Len()
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "healthy_workers": n})
+	service.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "healthy_workers": n})
 }
 
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Addr string `json:"addr"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&body); err != nil || body.Addr == "" {
-		writeJSONError(w, http.StatusBadRequest, errors.New("deregister: want {\"addr\": \"host:port\"}"))
-		return
-	}
-	c.Deregister(body.Addr)
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if c.Draining() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// handleSweep expands the grid, groups points by placement key, pins each
-// group to a worker, and streams results as NDJSON in completion order with
-// the same summary line a single node emits. A group whose worker dies
-// mid-sweep re-pins to the next owner and its failed points re-execute
-// there — bit-identical, because the grid is deterministic and keyed.
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if !c.begin() {
-		w.Header().Set("Retry-After", "5")
-		writeJSONError(w, http.StatusServiceUnavailable, errors.New("draining: coordinator is shutting down"))
-		return
-	}
-	defer c.end()
-	var sr service.SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sr); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	reqs := sr.Expand()
-	if len(reqs) == 0 {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("%w: empty sweep grid", service.ErrBadRequest))
-		return
-	}
-	if len(reqs) > c.cfg.MaxSweepPoints {
-		writeJSONError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: sweep grid has %d points, cap is %d", service.ErrBadRequest, len(reqs), c.cfg.MaxSweepPoints))
-		return
-	}
-	c.nSweeps.Add(1)
-	c.nSweepPoints.Add(uint64(len(reqs)))
-
-	// Normalize upfront: grouping needs placement keys before dispatch.
-	// Invalid points become error lines, exactly as on a single node.
-	type point struct {
-		rq  service.RunRequest
-		pin *pin
-		err error
-	}
-	points := make([]point, len(reqs))
-	pins := make(map[string]*pin)
-	for i, rq := range reqs {
-		raw := rq
-		if err := rq.Normalize(c.cfg.DefaultInsts, c.cfg.MaxInsts, c.cfg.MaxFFInsts); err != nil {
-			points[i] = point{rq: raw, err: err}
-			continue
-		}
-		k := rq.PlacementKey()
-		p := pins[k]
-		if p == nil {
-			p = &pin{}
-			pins[k] = p
-		}
-		points[i] = point{rq: rq, pin: p}
-	}
-
-	fanout := c.cfg.SweepFanout
-	if fanout <= 0 {
-		c.mu.Lock()
-		fanout = 4 * c.ring.Len()
-		c.mu.Unlock()
-		if fanout < 4 {
-			fanout = 4
-		}
-	}
-
-	ctx := r.Context()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	results := make(chan *service.Result, fanout)
-	go func() {
-		defer close(results)
-		sem := make(chan struct{}, fanout)
-		var wg sync.WaitGroup
-		for _, pt := range points {
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-			}
-			if ctx.Err() != nil {
-				break // client gone: stop launching the rest of the grid
-			}
-			wg.Add(1)
-			go func(pt point) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				var res *service.Result
-				err := pt.err
-				if err == nil {
-					res, err = c.do(ctx, pt.rq, true, pt.pin)
-				}
-				if err != nil {
-					res = &service.Result{Workload: pt.rq.Workload, Config: pt.rq.Config + "/" + pt.rq.Mem, Err: err.Error()}
-				}
-				results <- res
-			}(pt)
-		}
-		wg.Wait()
-	}()
-
-	enc := json.NewEncoder(w)
-	t0 := time.Now()
-	sum := service.SweepSummary{Done: true, Runs: len(reqs)}
-	for res := range results {
-		switch {
-		case res.Err != "":
-			sum.Errors++
-		default:
-			sum.OK++
-			if res.Cached {
-				sum.Cached++
-			}
-			if res.Coalesced {
-				sum.Coalesced++
-			}
-		}
-		line := res
-		if !sr.Stats && res.Stats != nil {
-			// Mirror the single-node sweep's compact lines (full counters
-			// only on request), so canonical outputs byte-compare.
-			cp := *res
-			cp.Stats = nil
-			line = &cp
-		}
-		_ = enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	sum.Errors += sum.Runs - sum.OK - sum.Errors // points never launched
-	sum.ElapsedMS = float64(time.Since(t0)) / float64(time.Millisecond)
-	_ = enc.Encode(sum)
-	if flusher != nil {
-		flusher.Flush()
+	if addr, ok := workerAddr(w, r); ok {
+		c.Deregister(addr)
+		service.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	}
 }
 
@@ -631,7 +466,7 @@ func (f fleetStore) peers(key string) []*blob.Remote {
 	f.c.mu.Unlock()
 	rs := make([]*blob.Remote, len(seq))
 	for i, addr := range seq {
-		rs[i] = &blob.Remote{Base: addr, Kind: f.kind, HTTP: f.c.httpc}
+		rs[i] = &blob.Remote{Base: addr, Kind: f.kind, HTTP: defaultHTTP}
 	}
 	return rs
 }
@@ -725,6 +560,5 @@ func (c *Coordinator) ClusterStats() Stats {
 	return st
 }
 
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.ClusterStats())
-}
+// StatsPayload is the /v1/stats body: ClusterStats.
+func (c *Coordinator) StatsPayload() any { return c.ClusterStats() }

@@ -29,7 +29,7 @@ func (c *Coordinator) Register(addr string) {
 	if ws == nil {
 		ws = &workerState{
 			addr:   addr,
-			client: &WorkerClient{Addr: addr, HTTP: c.httpc},
+			client: &WorkerClient{Addr: addr},
 		}
 		c.workers[addr] = ws
 		c.logf("cluster: worker %s registered", addr)
@@ -110,7 +110,7 @@ func (c *Coordinator) noteSuccess(addr string) {
 
 // healthLoop probes every registered worker each ProbeInterval until ctx is
 // done. Probes run concurrently so one black-holed worker cannot stretch the
-// pass beyond ProbeTimeout.
+// pass beyond probeTimeout.
 func (c *Coordinator) healthLoop(ctx context.Context) {
 	t := time.NewTicker(c.cfg.ProbeInterval)
 	defer t.Stop()
@@ -136,7 +136,7 @@ func (c *Coordinator) probePass(ctx context.Context) {
 	for _, cl := range clients {
 		go func(cl *WorkerClient) {
 			defer func() { done <- struct{}{} }()
-			pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			if err := cl.Healthz(pctx); err != nil {
 				c.noteFailure(cl.Addr)

@@ -1,13 +1,14 @@
 // Package cluster shards the simulation service across a fleet: a
 // coordinator consistent-hashes canonical request keys over N registered
 // workers (a bounded-load variant, so a hot key cannot melt one node),
-// proxies /v1/run and fans /v1/sweep grids out per placement key so every
-// point lands on the node that owns its cache/stream/checkpoint state, and
+// serves the workers' own /v1 front end (service.NewMux) while routing each
+// run and pinning each sweep's points per placement key, so every point
+// lands on the node that owns its cache/stream/checkpoint state, and
 // health-checks workers individually with automatic eject/readmit. Workers
 // are today's service.Service unchanged plus a registration/heartbeat loop
-// (Join); remote-store adapters (SnapshotStore, StreamStore, and their
-// Tiered compositions) let a cold worker pull a reference stream or warmup
-// checkpoint from the fleet instead of re-materializing it.
+// (Join); the coordinator's fleet store lets a cold worker, reading through
+// a blob.Tiered store, pull a reference stream or warmup checkpoint from the
+// fleet instead of re-materializing it.
 //
 // Distribution is a pure routing problem because every key is canonical and
 // every result deterministic: a point rerouted after a mid-sweep worker
@@ -42,12 +43,8 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing builds an empty ring with the given virtual points per member
-// (<=0 picks 64, plenty for single-digit fleets to balance within ~10%).
+// NewRing builds an empty ring with the given virtual points per member.
 func NewRing(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = 64
-	}
 	return &Ring{replicas: replicas, members: make(map[string]struct{})}
 }
 
@@ -97,18 +94,6 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Members returns the current members, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for n := range r.members {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the member count.
 func (r *Ring) Len() int {
 	r.mu.RLock()
@@ -138,15 +123,6 @@ func (r *Ring) Sequence(key string) []string {
 		}
 	}
 	return seq
-}
-
-// Owner returns the key's primary owner, or ok=false on an empty ring.
-func (r *Ring) Owner(key string) (string, bool) {
-	seq := r.Sequence(key)
-	if len(seq) == 0 {
-		return "", false
-	}
-	return seq[0], true
 }
 
 // Bounded-load placement (pick the first member of Sequence whose load is

@@ -130,10 +130,6 @@ type Config struct {
 	MaxInsts  uint64 // dynamic correct-path instruction budget
 	MaxCycles uint64 // deadlock guard; 0 = derived from MaxInsts
 
-	// DisableValidation turns off golden-trace retirement validation
-	// (never needed in practice; kept for timing micro-experiments).
-	DisableValidation bool
-
 	// LinearScanScheduler selects the retired O(window) issue loop that
 	// re-scans the whole ROB every cycle instead of the wakeup-driven ready
 	// bitset. The two schedulers issue identical instruction sequences (a

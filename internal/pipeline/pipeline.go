@@ -1038,9 +1038,6 @@ func (p *Pipeline) retire() {
 }
 
 func (p *Pipeline) validateRetire(e *entry) error {
-	if p.cfg.DisableValidation {
-		return nil
-	}
 	if e.traceIdx != p.retired {
 		return fmt.Errorf("retiring seq %d pc=%#x %s: trace index %d, expected %d (wrong-path instruction reached retirement?)",
 			e.seq, e.pc, e.inst, e.traceIdx, p.retired)

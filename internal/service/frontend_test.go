@@ -12,7 +12,7 @@ import (
 // with a default run.
 func TestFrontendKeyBackCompat(t *testing.T) {
 	norm := func(rq RunRequest) RunRequest {
-		if err := rq.normalize(20_000, 200_000, 50_000_000); err != nil {
+		if err := rq.Normalize(20_000, 200_000, 50_000_000); err != nil {
 			t.Fatalf("normalize: %v", err)
 		}
 		return rq
@@ -49,7 +49,7 @@ func TestFrontendBadRequests(t *testing.T) {
 		{Workload: "gzip", BPred: "perceptron"},
 		{Workload: "gzip", Prefetch: "markov"},
 	} {
-		if err := rq.normalize(20_000, 200_000, 50_000_000); err == nil {
+		if err := rq.Normalize(20_000, 200_000, 50_000_000); err == nil {
 			t.Errorf("%+v: want validation error, got nil", rq)
 		}
 	}
@@ -64,13 +64,13 @@ func TestFrontendSweepAxes(t *testing.T) {
 		Prefetches: []string{"none", "stride"},
 		Preprobes:  []bool{false, true},
 	}
-	rqs := sr.expand()
+	rqs := sr.Expand()
 	if len(rqs) != 8 {
 		t.Fatalf("want 2x2x2 = 8 grid points, got %d", len(rqs))
 	}
 	keys := map[string]bool{}
 	for i := range rqs {
-		if err := rqs[i].normalize(20_000, 200_000, 50_000_000); err != nil {
+		if err := rqs[i].Normalize(20_000, 200_000, 50_000_000); err != nil {
 			t.Fatalf("normalize point %d: %v", i, err)
 		}
 		keys[rqs[i].Key()] = true
@@ -80,11 +80,11 @@ func TestFrontendSweepAxes(t *testing.T) {
 	}
 
 	// Default expansion keeps the historical single-point grid.
-	plain := SweepRequest{Workloads: []string{"gzip"}}.expand()
+	plain := SweepRequest{Workloads: []string{"gzip"}}.Expand()
 	if len(plain) != 1 {
 		t.Fatalf("default expansion: want 1 point, got %d", len(plain))
 	}
-	if err := plain[0].normalize(20_000, 200_000, 50_000_000); err != nil {
+	if err := plain[0].Normalize(20_000, 200_000, 50_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if plain[0].BPred != "gshare" || plain[0].Prefetch != "none" || plain[0].Preprobe {
@@ -97,7 +97,7 @@ func TestFrontendSweepAxes(t *testing.T) {
 // service result.
 func TestFrontendRunEndToEnd(t *testing.T) {
 	t.Cleanup(trackGoroutines(t))
-	_, ts := newTestServer(t, Config{Workers: 2, DefaultInsts: 4000})
+	_, ts := newTestServer(t, Config{Workers: 2, Limits: Limits{DefaultInsts: 4000}})
 
 	_, res := postRun(t, ts, RunRequest{
 		Workload: "strided", BPred: "tage", Prefetch: "stride", Preprobe: true,

@@ -28,7 +28,7 @@ func newReplayTestService(t *testing.T, cfg Config) *Service {
 // materialized stream's prefix (replay_hits) instead of a new pass.
 func TestSweepSharesReplayStreams(t *testing.T) {
 	t.Cleanup(trackGoroutines(t))
-	svc := newReplayTestService(t, Config{Workers: 2, DefaultInsts: 2_000})
+	svc := newReplayTestService(t, Config{Workers: 2, Limits: Limits{DefaultInsts: 2_000}})
 	ctx := context.Background()
 
 	reqs := []RunRequest{

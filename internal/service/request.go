@@ -73,10 +73,11 @@ type RunRequest struct {
 	Sampling *SamplingSpec `json:"sampling,omitempty"`
 }
 
-// normalize fills defaults in place and validates every field, so that two
-// requests naming the same run — explicitly or via defaults — canonicalize
-// to the same Key.
-func (rq *RunRequest) normalize(defaultInsts, maxInsts, maxFFInsts uint64) error {
+// Normalize fills defaults in place and validates every field against the
+// given caps, so that two requests naming the same run — explicitly or via
+// defaults — canonicalize to the same Key. A sampled request's Insts becomes
+// its plan's span, so a normalized sampled request does not normalize again.
+func (rq *RunRequest) Normalize(defaultInsts, maxInsts, maxFFInsts uint64) error {
 	if _, ok := workload.Get(rq.Workload); !ok {
 		return fmt.Errorf("%w: unknown workload %q", ErrBadRequest, rq.Workload)
 	}
@@ -156,14 +157,6 @@ func (rq *RunRequest) normalize(defaultInsts, maxInsts, maxFFInsts uint64) error
 		return fmt.Errorf("%w: insts %d exceeds server cap %d", ErrBadRequest, rq.Insts, maxInsts)
 	}
 	return nil
-}
-
-// Normalize canonicalizes the request in place against the given server
-// caps — the exported form of normalize, for the cluster coordinator, which
-// must compute routing keys with exactly the normalization its workers
-// apply. The caps therefore must match the workers' configuration.
-func (rq *RunRequest) Normalize(defaultInsts, maxInsts, maxFFInsts uint64) error {
-	return rq.normalize(defaultInsts, maxInsts, maxFFInsts)
 }
 
 // defaultPred returns the paper's predictor choice for a (config, mem) pair:
@@ -301,15 +294,8 @@ type SweepRequest struct {
 }
 
 // Expand returns the grid's run requests in row-major order (workload
-// outermost), not yet normalized — the exported form of expand, for the
-// cluster coordinator's per-key sweep fan-out.
-func (sr SweepRequest) Expand() []RunRequest {
-	return sr.expand()
-}
-
-// expand returns the grid's run requests in row-major order (workload
 // outermost). The requests are not yet normalized.
-func (sr SweepRequest) expand() []RunRequest {
+func (sr SweepRequest) Expand() []RunRequest {
 	ws := sr.Workloads
 	if len(ws) == 0 {
 		ws = workload.Names()

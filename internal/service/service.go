@@ -12,6 +12,7 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,14 +26,15 @@ import (
 	"sfcmdt/internal/workload"
 )
 
-// Sentinel errors mapped onto HTTP statuses by the handler layer.
+// Sentinel errors, each carrying the HTTP status the front end answers with.
 var (
 	// ErrBadRequest marks an unnormalizable request (400).
-	ErrBadRequest = errors.New("bad request")
-	// ErrOverloaded means the admission queue is full (429 + Retry-After).
-	ErrOverloaded = errors.New("overloaded: admission queue full")
-	// ErrDraining means the service is shutting down (503).
-	ErrDraining = errors.New("draining: service is shutting down")
+	ErrBadRequest error = &StatusError{Status: http.StatusBadRequest, Msg: "bad request"}
+	// ErrOverloaded means the admission queue is full (429). A worker frees
+	// up within one backend run, so a one-second backoff is the honest hint.
+	ErrOverloaded error = &StatusError{Status: http.StatusTooManyRequests, RetryAfter: "1", Msg: "overloaded: admission queue full"}
+	// ErrDraining means the node is shutting down (503).
+	ErrDraining error = &StatusError{Status: http.StatusServiceUnavailable, RetryAfter: "5", Msg: "draining: service is shutting down"}
 )
 
 // Backend executes one normalized run request. The default backend runs the
@@ -51,18 +53,8 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the LRU result cache (default 1024).
 	CacheEntries int
-	// DefaultInsts is the instruction budget for requests that name none
-	// (default 20000); MaxInsts caps what a request may ask for
-	// (default 200000).
-	DefaultInsts uint64
-	MaxInsts     uint64
-	// MaxSweepPoints bounds a single sweep's grid (default 4096).
-	MaxSweepPoints int
-	// MaxFFInsts caps a sampled request's total functional fast-forward
-	// (FF × intervals; default 50,000,000). Fast-forward is ~two orders of
-	// magnitude cheaper than detailed simulation, hence the separate, much
-	// larger cap.
-	MaxFFInsts uint64
+	// Limits are the request caps.
+	Limits
 	// SampleParallel bounds the interval-level parallelism of one sampled
 	// run (default GOMAXPROCS; 1 serializes). A sampled request occupies
 	// min(intervals, SampleParallel) weighted worker slots — capped at
@@ -93,6 +85,36 @@ type Config struct {
 	Backend Backend
 }
 
+// Limits are a node's request caps. A cluster coordinator normalizes each
+// request exactly as its workers will, to route it, so its Limits must
+// match theirs.
+type Limits struct {
+	// DefaultInsts is the instruction budget for requests that name none
+	// (default 20,000); MaxInsts caps what a request may ask for
+	// (default 200,000).
+	DefaultInsts uint64
+	MaxInsts     uint64
+	// MaxFFInsts caps a sampled request's total functional fast-forward
+	// (FF × intervals; default 50,000,000). Fast-forward is ~two orders of
+	// magnitude cheaper than detailed simulation, hence the separate, much
+	// larger cap.
+	MaxFFInsts uint64
+}
+
+// WithDefaults returns l with each zero cap set to its default.
+func (l Limits) WithDefaults() Limits {
+	if l.DefaultInsts == 0 {
+		l.DefaultInsts = 20_000
+	}
+	if l.MaxInsts == 0 {
+		l.MaxInsts = 200_000
+	}
+	if l.MaxFFInsts == 0 {
+		l.MaxFFInsts = 50_000_000
+	}
+	return l
+}
+
 func (c *Config) fillDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -105,18 +127,7 @@ func (c *Config) fillDefaults() {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 1024
 	}
-	if c.DefaultInsts == 0 {
-		c.DefaultInsts = 20_000
-	}
-	if c.MaxInsts == 0 {
-		c.MaxInsts = 200_000
-	}
-	if c.MaxSweepPoints == 0 {
-		c.MaxSweepPoints = 4096
-	}
-	if c.MaxFFInsts == 0 {
-		c.MaxFFInsts = 50_000_000
-	}
+	c.Limits = c.Limits.WithDefaults()
 	if c.SampleParallel <= 0 {
 		c.SampleParallel = runtime.GOMAXPROCS(0)
 	}
@@ -136,8 +147,8 @@ type call struct {
 	err    error
 }
 
-// Service is the serving front end. Create with New, serve via Handler,
-// stop with BeginDrain + Close.
+// Service is one simulator node. Create with New, serve via Handler, stop
+// with BeginDrain + Close.
 type Service struct {
 	cfg     Config
 	backend Backend
@@ -222,7 +233,7 @@ func New(cfg Config) *Service {
 // The returned Result is the caller's own shallow copy; Cached/Coalesced
 // describe how this particular call was served.
 func (s *Service) Do(ctx context.Context, rq RunRequest, wait bool) (*Result, error) {
-	if err := rq.normalize(s.cfg.DefaultInsts, s.cfg.MaxInsts, s.cfg.MaxFFInsts); err != nil {
+	if err := rq.Normalize(s.cfg.DefaultInsts, s.cfg.MaxInsts, s.cfg.MaxFFInsts); err != nil {
 		return nil, err
 	}
 	s.nRequests.Add(1)
@@ -273,6 +284,16 @@ func (s *Service) Do(ctx context.Context, rq RunRequest, wait bool) (*Result, er
 		}
 		return nil, ctx.Err()
 	}
+}
+
+// Sweep admits one sweep for the front end: its points go through Do with
+// the queueing admission policy, one worker pool's worth at a time.
+func (s *Service) Sweep(int) (int, func(context.Context, RunRequest) (*Result, error), func(), error) {
+	if s.Draining() {
+		return 0, nil, nil, ErrDraining
+	}
+	point := func(ctx context.Context, rq RunRequest) (*Result, error) { return s.Do(ctx, rq, true) }
+	return s.cfg.Workers, point, func() {}, nil
 }
 
 // runCall owns one backend execution: admission, run, publish, cache.
@@ -543,3 +564,6 @@ func (s *Service) Stats() Snapshot {
 	s.runnersMu.Unlock()
 	return snap
 }
+
+// StatsPayload is the /v1/stats body: Stats.
+func (s *Service) StatsPayload() any { return s.Stats() }

@@ -95,7 +95,7 @@ func TestKeyCanonicalization(t *testing.T) {
 	a := RunRequest{Workload: "gzip"}
 	b := RunRequest{Workload: "gzip", Config: "baseline", Mem: "mdtsfc", Pred: "enf", Insts: 20_000}
 	for _, rq := range []*RunRequest{&a, &b} {
-		if err := rq.normalize(20_000, 200_000, 50_000_000); err != nil {
+		if err := rq.Normalize(20_000, 200_000, 50_000_000); err != nil {
 			t.Fatalf("normalize: %v", err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestKeyCanonicalization(t *testing.T) {
 		t.Fatalf("defaulted key %q != explicit key %q", a.Key(), b.Key())
 	}
 	c := RunRequest{Workload: "gzip", Insts: 19_999}
-	if err := c.normalize(20_000, 200_000, 50_000_000); err != nil {
+	if err := c.Normalize(20_000, 200_000, 50_000_000); err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
 	if c.Key() == a.Key() {
@@ -111,7 +111,7 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 	// LSQ sizes are irrelevant to MDT/SFC runs and must fold out of the key.
 	d := RunRequest{Workload: "gzip", LQ: 7, SQ: 9}
-	if err := d.normalize(20_000, 200_000, 50_000_000); err != nil {
+	if err := d.Normalize(20_000, 200_000, 50_000_000); err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
 	if d.Key() != a.Key() {
@@ -123,7 +123,7 @@ func TestKeyCanonicalization(t *testing.T) {
 // first request pays for a pipeline run, the repeat is served from the LRU.
 func TestRunCacheHitAndMiss(t *testing.T) {
 	t.Cleanup(trackGoroutines(t))
-	svc, ts := newTestServer(t, Config{Workers: 2, DefaultInsts: 2000})
+	svc, ts := newTestServer(t, Config{Workers: 2, Limits: Limits{DefaultInsts: 2000}})
 
 	_, first := postRun(t, ts, RunRequest{Workload: "gzip"})
 	if first == nil {
@@ -445,7 +445,7 @@ func TestCloseForceCancelsAtDeadline(t *testing.T) {
 // budgets, and unknown fields all bounce before touching the backend.
 func TestBadRequests(t *testing.T) {
 	backend := newStubBackend()
-	_, ts := newTestServer(t, Config{Workers: 1, MaxInsts: 10_000, Backend: backend.fn})
+	_, ts := newTestServer(t, Config{Workers: 1, Limits: Limits{MaxInsts: 10_000}, Backend: backend.fn})
 	for name, body := range map[string]string{
 		"unknown workload": `{"workload":"no-such-benchmark"}`,
 		"insts over cap":   `{"workload":"gzip","insts":1000000}`,
@@ -471,7 +471,7 @@ func TestBadRequests(t *testing.T) {
 // plan, and distinct plans do not collide.
 func TestSamplingKey(t *testing.T) {
 	plain := RunRequest{Workload: "gzip"}
-	if err := plain.normalize(20_000, 200_000, 50_000_000); err != nil {
+	if err := plain.Normalize(20_000, 200_000, 50_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(plain.Key(), "|s:") {
@@ -480,7 +480,7 @@ func TestSamplingKey(t *testing.T) {
 	a := RunRequest{Workload: "gzip", Sampling: &SamplingSpec{FF: 9000, Measure: 1000, Intervals: 2}}
 	b := RunRequest{Workload: "gzip", Sampling: &SamplingSpec{FF: 8000, Warm: 1000, Measure: 1000, Intervals: 2}}
 	for _, rq := range []*RunRequest{&a, &b} {
-		if err := rq.normalize(20_000, 200_000, 50_000_000); err != nil {
+		if err := rq.Normalize(20_000, 200_000, 50_000_000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -496,7 +496,7 @@ func TestSamplingKey(t *testing.T) {
 // TestSamplingBadRequests covers the sampled 400 surface.
 func TestSamplingBadRequests(t *testing.T) {
 	backend := newStubBackend()
-	_, ts := newTestServer(t, Config{Workers: 1, MaxInsts: 10_000, MaxFFInsts: 100_000, Backend: backend.fn})
+	_, ts := newTestServer(t, Config{Workers: 1, Limits: Limits{MaxInsts: 10_000, MaxFFInsts: 100_000}, Backend: backend.fn})
 	for name, body := range map[string]string{
 		"insts with sampling":  `{"workload":"gzip","insts":5000,"sampling":{"measure":100,"intervals":1}}`,
 		"zero measure":         `{"workload":"gzip","sampling":{"ff":1000,"intervals":4}}`,

@@ -59,21 +59,21 @@ func TestWeightClamped(t *testing.T) {
 	defer svc.baseCancel()
 
 	plain := RunRequest{Workload: "gzip"}
-	if err := plain.normalize(svc.cfg.DefaultInsts, svc.cfg.MaxInsts, svc.cfg.MaxFFInsts); err != nil {
+	if err := plain.Normalize(svc.cfg.DefaultInsts, svc.cfg.MaxInsts, svc.cfg.MaxFFInsts); err != nil {
 		t.Fatal(err)
 	}
 	if w := svc.weight(plain); w != 1 {
 		t.Fatalf("plain request weight = %d, want 1", w)
 	}
 	sampled := RunRequest{Workload: "gzip", Sampling: &SamplingSpec{Measure: 100, Intervals: 50}}
-	if err := sampled.normalize(svc.cfg.DefaultInsts, svc.cfg.MaxInsts, svc.cfg.MaxFFInsts); err != nil {
+	if err := sampled.Normalize(svc.cfg.DefaultInsts, svc.cfg.MaxInsts, svc.cfg.MaxFFInsts); err != nil {
 		t.Fatal(err)
 	}
 	if w := svc.weight(sampled); w != 2 {
 		t.Fatalf("K=50 sampled weight on a 2-worker service = %d, want 2 (clamped to Workers)", w)
 	}
 	one := RunRequest{Workload: "gzip", Sampling: &SamplingSpec{Measure: 100, Intervals: 1}}
-	if err := one.normalize(svc.cfg.DefaultInsts, svc.cfg.MaxInsts, svc.cfg.MaxFFInsts); err != nil {
+	if err := one.Normalize(svc.cfg.DefaultInsts, svc.cfg.MaxInsts, svc.cfg.MaxFFInsts); err != nil {
 		t.Fatal(err)
 	}
 	if w := svc.weight(one); w != 1 {
