@@ -10,7 +10,7 @@ import (
 )
 
 // postJSON posts a small JSON body and drains the response.
-func postJSON(ctx context.Context, h *http.Client, url string, v any) error {
+func postJSON(ctx context.Context, url string, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return err
@@ -20,7 +20,7 @@ func postJSON(ctx context.Context, h *http.Client, url string, v any) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := h.Do(req)
+	resp, err := defaultHTTP.Do(req)
 	if err != nil {
 		return err
 	}
@@ -51,13 +51,12 @@ func Join(ctx context.Context, coordinator, advertise string, interval time.Dura
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	h := defaultHTTP
 	regURL := baseURL(coordinator) + "/v1/register"
 	body := map[string]string{"addr": advertise}
 	beat := func() error {
 		bctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 		defer cancel()
-		return postJSON(bctx, h, regURL, body)
+		return postJSON(bctx, regURL, body)
 	}
 	ok := false // last heartbeat outcome, to log only transitions
 	if err := beat(); err != nil {
@@ -73,7 +72,7 @@ func Join(ctx context.Context, coordinator, advertise string, interval time.Dura
 		case <-ctx.Done():
 			// Graceful leave needs its own context: ours is already dead.
 			dctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			err := postJSON(dctx, h, baseURL(coordinator)+"/v1/deregister", body)
+			err := postJSON(dctx, baseURL(coordinator)+"/v1/deregister", body)
 			cancel()
 			if err != nil {
 				logf("cluster: deregister from %s failed: %v", coordinator, err)
