@@ -1,12 +1,12 @@
 # Developer/CI entry points. `make ci` is the gate a change must pass:
 # vet + gofmt + build + race-enabled tests + a single-iteration benchmark
 # smoke run (catches benchmarks that no longer compile or crash without
-# paying for a full measurement) + a short fuzz run of the word-granular
-# memory paths against their per-byte reference + the measured suite diffed
-# against the committed baseline report (calibration-normalized ns/op, exact
-# alloc and zero-byte guarantees, and a failure on any entry the baseline is
-# missing) + vet and tests of the nested bench/ module, which root
-# `go test ./...` skips.
+# paying for a full measurement) + short fuzz runs of the word-granular
+# memory paths and the memoizing cache against their references + the
+# measured suite diffed against the committed baseline report
+# (calibration-normalized ns/op, exact alloc and zero-byte guarantees, and a
+# failure on any entry the baseline is missing) + vet and tests of the nested
+# bench/ module, which root `go test ./...` skips.
 
 GO ?= go
 
@@ -34,10 +34,12 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
 # Short fuzz runs (the seeded corpora always run; the time budget explores
-# beyond them): the Sparse word paths vs the per-byte reference, and the
-# snapshot and replay-stream decoders against arbitrary bytes.
+# beyond them): the Sparse word paths vs the per-byte reference, the
+# memoizing cache vs its search-every-access reference, and the snapshot and
+# replay-stream decoders against arbitrary bytes.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSparseWordVsByte -fuzztime 10s ./internal/mem
+	$(GO) test -run '^$$' -fuzz FuzzCacheVsReference -fuzztime 10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/replay
 

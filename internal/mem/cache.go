@@ -43,9 +43,20 @@ type cacheLine struct {
 type Cache struct {
 	cfg    CacheConfig
 	sets   int
-	lineSh uint
+	lineSh uint        // addr >> lineSh is the block number
+	setSh  uint        // block >> setSh is the tag
 	lines  []cacheLine // sets*ways, row-major by set
 	stamp  uint64
+
+	// last is the block of the latest Access, valid while lastOK. Its line
+	// is resident, not prefetch-tagged, and holds the newest LRU stamp, so
+	// an immediate re-access is a hit needing neither the tag search nor a
+	// fresh stamp: replacement depends only on the order of the stamps,
+	// which skipping one leaves unchanged. PrefetchFill forgets it when it
+	// installs a (newer) line, and so does Reset.
+	last   uint64
+	lastOK bool
+
 	Hits   uint64
 	Misses uint64
 
@@ -60,14 +71,11 @@ func NewCache(cfg CacheConfig) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sh := uint(0)
-	for 1<<sh < cfg.LineBytes {
-		sh++
-	}
 	return &Cache{
 		cfg:    cfg,
 		sets:   cfg.Sets(),
-		lineSh: sh,
+		lineSh: log2(cfg.LineBytes),
+		setSh:  log2(cfg.Sets()),
 		lines:  make([]cacheLine, cfg.Sets()*cfg.Ways),
 	}
 }
@@ -78,10 +86,15 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // Access touches the line containing addr, allocating it on a miss, and
 // reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
-	c.stamp++
 	block := addr >> c.lineSh
+	if c.lastOK && block == c.last {
+		c.Hits++
+		return true
+	}
+	c.last, c.lastOK = block, true
+	c.stamp++
 	set := int(block) & (c.sets - 1)
-	tag := block >> uint(log2(c.sets))
+	tag := block >> c.setSh
 	base := set * c.cfg.Ways
 	victim := base
 	for i := base; i < base+c.cfg.Ways; i++ {
@@ -110,7 +123,7 @@ func (c *Cache) Access(addr uint64) bool {
 func (c *Cache) Probe(addr uint64) bool {
 	block := addr >> c.lineSh
 	set := int(block) & (c.sets - 1)
-	tag := block >> uint(log2(c.sets))
+	tag := block >> c.setSh
 	base := set * c.cfg.Ways
 	for i := base; i < base+c.cfg.Ways; i++ {
 		if c.lines[i].valid && c.lines[i].tag == tag {
@@ -128,7 +141,7 @@ func (c *Cache) Probe(addr uint64) bool {
 func (c *Cache) PrefetchFill(addr uint64) bool {
 	block := addr >> c.lineSh
 	set := int(block) & (c.sets - 1)
-	tag := block >> uint(log2(c.sets))
+	tag := block >> c.setSh
 	base := set * c.cfg.Ways
 	victim := base
 	for i := base; i < base+c.cfg.Ways; i++ {
@@ -144,12 +157,14 @@ func (c *Cache) PrefetchFill(addr uint64) bool {
 	}
 	c.stamp++
 	c.lines[victim] = cacheLine{tag: tag, valid: true, prefetch: true, lru: c.stamp}
+	c.lastOK = false
 	c.PrefetchFills++
 	return false
 }
 
-func log2(n int) int {
-	b := 0
+// log2 returns the base-2 logarithm of n, a power of two.
+func log2(n int) uint {
+	b := uint(0)
 	for 1<<b < n {
 		b++
 	}
@@ -249,6 +264,7 @@ func (c *Cache) Reset() {
 		c.lines[i] = cacheLine{}
 	}
 	c.stamp = 0
+	c.lastOK = false
 	c.Hits = 0
 	c.Misses = 0
 	c.PrefetchFills = 0

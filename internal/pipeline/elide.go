@@ -132,7 +132,7 @@ func (p *Pipeline) quiesce() (until uint64, stall elideStall, ok bool) {
 	// blocked on a full fetch queue.
 	switch {
 	case p.fetchHalted:
-	case p.onCorrectPath && p.fetchTraceIdx >= p.src.Len():
+	case p.onCorrectPath && p.fetchTraceIdx >= p.srcLen:
 	case p.cycle < p.fetchStallUntil:
 		if p.fetchStallUntil < until {
 			until = p.fetchStallUntil

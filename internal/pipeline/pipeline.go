@@ -13,6 +13,7 @@ import (
 	"sfcmdt/internal/metrics"
 	"sfcmdt/internal/prefetch"
 	"sfcmdt/internal/prog"
+	"sfcmdt/internal/replay"
 	"sfcmdt/internal/sched"
 	"sfcmdt/internal/seqnum"
 )
@@ -34,8 +35,8 @@ type entry struct {
 	ghrBefore  uint32 // speculative global history before this instruction
 	ghrAfter   uint32
 
-	// Rename state.
-	ratSnap  []physReg // RAT before this instruction renamed (checkpoint)
+	// Rename state. oldPhys is destArch's mapping before this instruction
+	// renamed: retirement frees it, and recovery writes it back to the RAT.
 	srcPhys  [2]physReg
 	nSrc     int
 	newPhys  physReg
@@ -128,6 +129,8 @@ type Pipeline struct {
 	cfg    Config
 	img    *prog.Image
 	src    ReplaySource
+	srcLen int            // src.Len()
+	stream *replay.Stream // src's columns when src is a *replay.View, else nil
 	memory *mem.Sparse
 	hier   *mem.Hierarchy
 	bp     bpred.Predictor
@@ -194,22 +197,24 @@ type Pipeline struct {
 
 	retired         int // == next trace index to retire
 	sfcLiveStores   int // stores that have written the SFC and not yet retired or squashed
+	stalled         int // ROB entries with their replay stall bit set
 	lastRetireCycle uint64
 	err             error
 	done            bool
 }
 
-// New builds a pipeline for the given program and configuration. The golden
-// trace is produced internally with the functional model.
+// New builds a pipeline for the given program and configuration. Its
+// reference stream is materialized internally with the functional model
+// (replay.Materialize, at most cfg.MaxInsts instructions).
 func New(cfg Config, img *prog.Image) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trace, err := arch.RunTrace(img, cfg.MaxInsts)
+	stream, err := replay.Materialize(img, cfg.MaxInsts)
 	if err != nil {
 		return nil, err
 	}
-	return NewWithTrace(cfg, img, trace)
+	return NewWithTrace(cfg, img, stream.All())
 }
 
 // NewWithTrace builds a pipeline against a precomputed reference stream —
@@ -273,6 +278,13 @@ func (p *Pipeline) reset(cfg Config, img *prog.Image, src ReplaySource, st *Star
 	p.cfg = cfg
 	p.img = img
 	p.src = src
+	p.srcLen = src.Len()
+	// A replay view's columns are read directly by fetch and retirement;
+	// any other source (the golden trace) answers through the interface.
+	p.stream = nil
+	if v, ok := src.(*replay.View); ok {
+		p.stream = v.Stream()
+	}
 
 	if st != nil {
 		if p.memory == nil {
@@ -433,6 +445,7 @@ func (p *Pipeline) reset(cfg Config, img *prog.Image, src ReplaySource, st *Star
 	p.dbg = nil
 	p.retired = 0
 	p.sfcLiveStores = 0
+	p.stalled = 0
 	p.lastRetireCycle = 0
 	p.err = nil
 	p.done = false
@@ -885,23 +898,23 @@ func (p *Pipeline) recover(from seqnum.Seq, resumePC uint64, resumeTrace int, gh
 	}
 	canceledCompletedStore := false
 
-	if idx < p.rob.len() {
-		// Restore the RAT from the checkpoint taken before the first
-		// squashed instruction renamed. (Read it before the squash loop
-		// below recycles entries to the pool.)
-		copy(p.rat, p.rob.at(idx).ratSnap)
-	}
-
 	// Squash ROB suffix, youngest first, returning rename resources.
-	// Entries with a pending completion event stay alive until the wheel
-	// drains them; the rest go straight back to the pool.
+	// Undoing each squashed rename in that order leaves the RAT exactly as
+	// it stood before the first squashed instruction renamed — the map a
+	// per-instruction checkpoint would hold. Entries with a pending
+	// completion event stay alive until the wheel drains them; the rest go
+	// straight back to the pool.
 	for i := p.rob.len() - 1; i >= idx; i-- {
 		e := p.rob.at(i)
 		e.squashed = true
 		p.clearReadyBit(e.slot)
 		p.stats.Squashed++
 		if e.hasDest {
+			p.rat[e.destArch] = e.oldPhys
 			p.freePhys = append(p.freePhys, e.newPhys)
+		}
+		if e.stall {
+			p.stalled--
 		}
 		if e.wroteSFC {
 			p.sfcLiveStores--
@@ -1011,6 +1024,10 @@ func (p *Pipeline) retire() {
 		if e.hasDest && e.oldPhys != noPhys {
 			p.freePhys = append(p.freePhys, e.oldPhys)
 		}
+		if e.stall {
+			// Issued through the head bypass with its stall bit still set.
+			p.stalled--
+		}
 		if e.produceTag != core.NoTag {
 			p.pred.ProducerDone(e.produceTag, false)
 			e.produceTag = core.NoTag
@@ -1030,7 +1047,7 @@ func (p *Pipeline) retire() {
 		if !e.inWheel {
 			p.freeEntry(e)
 		}
-		if isHalt || p.retired >= p.src.Len() {
+		if isHalt || p.retired >= p.srcLen {
 			p.done = true
 			return
 		}
@@ -1041,6 +1058,9 @@ func (p *Pipeline) validateRetire(e *entry) error {
 	if e.traceIdx != p.retired {
 		return fmt.Errorf("retiring seq %d pc=%#x %s: trace index %d, expected %d (wrong-path instruction reached retirement?)",
 			e.seq, e.pc, e.inst, e.traceIdx, p.retired)
+	}
+	if p.stream != nil && p.retireMatchesStream(e) {
+		return nil
 	}
 	rec := p.src.RecordAt(p.retired)
 	if rec.PC != e.pc {
@@ -1065,9 +1085,38 @@ func (p *Pipeline) validateRetire(e *entry) error {
 	return nil
 }
 
+// retireMatchesStream reports whether e agrees with the bound stream's record
+// p.retired on every field validateRetire compares, reading the columns the
+// way replay.Stream.RecordAt reconstructs that record but without building
+// it. A false answer sends validateRetire to the record itself, which
+// decides and words the error.
+func (p *Pipeline) retireMatchesStream(e *entry) bool {
+	s, i := p.stream, p.retired
+	d := &s.Decoded()[s.CodeIdx[i]]
+	val := s.Val[i]
+	switch {
+	case s.PCAt(i) != e.pc, d.HasDest != e.hasDest, d.IsLoad != e.isLoad, d.IsStore != e.isStore:
+		return false
+	case e.hasDest && (d.DestReg != e.destArch || val != e.result):
+		return false
+	case e.isLoad && (s.Addr[i] != e.memAddr || val != e.result):
+		return false
+	case e.isStore && (s.Addr[i] != e.memAddr || val != e.memVal):
+		return false
+	case (e.isCond || e.isJump) && s.NextPCAt(i) != e.actualNext:
+		return false
+	}
+	return true
+}
+
 // clearStallBits clears every replay stall bit when the memory unit frees an
-// entry (§2.4.3) and re-arms stalled instructions that are now issuable.
+// entry (§2.4.3) and re-arms stalled instructions that are now issuable. The
+// stalled count spares the ROB walk when no bit is set, the common case.
 func (p *Pipeline) clearStallBits() {
+	if p.stalled == 0 {
+		return
+	}
+	p.stalled = 0
 	for i := 0; i < p.rob.len(); i++ {
 		e := p.rob.at(i)
 		if e.stall {
@@ -1489,7 +1538,10 @@ func (p *Pipeline) executeStore(e *entry, head bool) {
 // stall bit set (§2.4.3).
 func (p *Pipeline) replay(e *entry, cause replayCause) {
 	e.issued = false
-	e.stall = true
+	if !e.stall {
+		e.stall = true
+		p.stalled++
+	}
 	e.replays++
 	switch cause {
 	case replaySFCConflict:
@@ -1581,10 +1633,9 @@ func (p *Pipeline) dispatch() {
 			p.stats.PredConsumerWaits++
 		}
 
-		// Rename: checkpoint, map sources, allocate destination. A source
-		// whose producer has not written back yet parks the entry on that
+		// Rename: map sources, allocate destination. A source whose
+		// producer has not written back yet parks the entry on that
 		// register's consumer list for the writeback wakeup.
-		copy(e.ratSnap, p.rat)
 		for s := 0; s < int(d.NSrc); s++ {
 			ph := p.rat[d.SrcRegs[s]]
 			e.srcPhys[e.nSrc] = ph
@@ -1637,11 +1688,35 @@ func (p *Pipeline) dispatch() {
 // ---------------------------------------------------------------------------
 // Fetch.
 
+// truePC, trueTaken and trueNext are the front-end oracle: correct-path
+// instruction i's PC, branch outcome and next PC, read from the bound
+// stream's columns when the source is a replay view.
+func (p *Pipeline) truePC(i int) uint64 {
+	if p.stream != nil {
+		return p.stream.PCAt(i)
+	}
+	return p.src.PCAt(i)
+}
+
+func (p *Pipeline) trueTaken(i int) bool {
+	if p.stream != nil {
+		return p.stream.TakenAt(i)
+	}
+	return p.src.TakenAt(i)
+}
+
+func (p *Pipeline) trueNext(i int) uint64 {
+	if p.stream != nil {
+		return p.stream.NextPCAt(i)
+	}
+	return p.src.NextPCAt(i)
+}
+
 func (p *Pipeline) fetch() {
 	if p.fetchHalted || p.cycle < p.fetchStallUntil {
 		return
 	}
-	if p.onCorrectPath && p.fetchTraceIdx >= p.src.Len() {
+	if p.onCorrectPath && p.fetchTraceIdx >= p.srcLen {
 		return // instruction budget exhausted; drain the pipeline
 	}
 	branches := 0
@@ -1679,7 +1754,7 @@ func (p *Pipeline) fetch() {
 			dir := p.bp.Predict(pc)
 			p.bpc.Lookups++
 			if p.onCorrectPath {
-				trueTaken := p.src.TakenAt(p.fetchTraceIdx)
+				trueTaken := p.trueTaken(p.fetchTraceIdx)
 				if dir != trueTaken {
 					p.bpc.BaseWrong++
 					if p.bp.OracleFixes(uint64(seq)) {
@@ -1700,7 +1775,7 @@ func (p *Pipeline) fetch() {
 			if p.onCorrectPath {
 				// Perfect indirect-target prediction on the correct path
 				// (the paper's front end oracle covers target supply).
-				predNext = p.src.NextPCAt(p.fetchTraceIdx)
+				predNext = p.trueNext(p.fetchTraceIdx)
 			}
 			// Wrong path: predict fall-through; execute will redirect.
 		case in.Op == isa.OpHalt:
@@ -1712,11 +1787,11 @@ func (p *Pipeline) fetch() {
 
 		traceIdx := -1
 		if p.onCorrectPath {
-			if truePC := p.src.PCAt(p.fetchTraceIdx); truePC != pc {
+			if truePC := p.truePC(p.fetchTraceIdx); truePC != pc {
 				p.fail(fmt.Errorf("correct-path fetch at %#x, trace expects %#x (idx %d)", pc, truePC, p.fetchTraceIdx))
 				return
 			}
-			trueNext := p.src.NextPCAt(p.fetchTraceIdx)
+			trueNext := p.trueNext(p.fetchTraceIdx)
 			traceIdx = p.fetchTraceIdx
 			p.fetchTraceIdx++
 			if predNext != trueNext && !isHalt {
@@ -1744,7 +1819,7 @@ func (p *Pipeline) fetch() {
 			p.fetchHalted = true
 			return
 		}
-		if p.onCorrectPath && p.fetchTraceIdx >= p.src.Len() {
+		if p.onCorrectPath && p.fetchTraceIdx >= p.srcLen {
 			return
 		}
 		if predNext != pc+4 {

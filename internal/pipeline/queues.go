@@ -1,7 +1,5 @@
 package pipeline
 
-import "sfcmdt/internal/isa"
-
 // This file holds the allocation-free storage backing the cycle loop: fixed
 // ring buffers for the ROB and fetch queue (replacing slide-and-append
 // slices whose backing arrays reallocated every capacity retirements) and
@@ -106,18 +104,17 @@ func (q *fqQueue) clear() {
 	q.n = 0
 }
 
-// allocEntry takes an entry from the pool (or the heap when the pool is
-// empty), zeroed except for its retained ratSnap backing array.
+// allocEntry takes a zeroed entry from the pool (or the heap when the pool
+// is empty).
 func (p *Pipeline) allocEntry() *entry {
 	if n := len(p.pool); n > 0 {
 		e := p.pool[n-1]
 		p.pool[n-1] = nil
 		p.pool = p.pool[:n-1]
-		snap := e.ratSnap
-		*e = entry{ratSnap: snap}
+		*e = entry{}
 		return e
 	}
-	return &entry{ratSnap: make([]physReg, isa.NumRegs)}
+	return &entry{}
 }
 
 // freeEntry returns an entry to the pool. It is idempotent: a squashed entry

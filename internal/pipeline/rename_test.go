@@ -6,13 +6,16 @@ import (
 	"testing"
 )
 
-// TestRenameInvariants pins the rename bookkeeping cycle by cycle over the
-// random-program corpus TestSchedulerEquivalence uses and every
-// scheduler-equivalence configuration. After every Step, each physical
-// register is accounted for exactly once: free, mapped by the RAT, or held
-// as the previous mapping of an in-flight ROB entry with a destination
-// (returned to the free list when that entry retires, and to the RAT when
-// it is squashed).
+// TestRenameInvariants pins the rename and stall bookkeeping cycle by cycle
+// over the random-program corpus TestSchedulerEquivalence uses and every
+// scheduler-equivalence configuration. After every Step:
+//
+//   - each physical register is accounted for exactly once: free, mapped by
+//     the RAT, or held as the previous mapping of an in-flight ROB entry with
+//     a destination (returned to the free list when that entry retires, and
+//     to the RAT when it is squashed);
+//   - the stalled count equals the number of ROB entries whose replay stall
+//     bit is set, so clearStallBits may skip its walk when it is zero.
 func TestRenameInvariants(t *testing.T) {
 	n := 200
 	if testing.Short() {
@@ -32,7 +35,7 @@ func TestRenameInvariants(t *testing.T) {
 				seen := make([]int, len(p.physVal))
 				for more := true; more; {
 					more = p.Step()
-					if err := checkRename(p, seen); err != nil {
+					if err := checkBookkeeping(p, seen); err != nil {
 						t.Fatalf("%s: cycle %d: %v", cfg.Name, p.cycle, err)
 					}
 				}
@@ -44,10 +47,11 @@ func TestRenameInvariants(t *testing.T) {
 	}
 }
 
-// checkRename counts every physical register's appearances across the free
-// list, the RAT and the old mappings held by ROB entries; seen is scratch
-// space with one slot per physical register.
-func checkRename(p *Pipeline, seen []int) error {
+// checkBookkeeping counts every physical register's appearances across the
+// free list, the RAT and the old mappings held by ROB entries, and the ROB
+// entries with their stall bit set; seen is scratch space with one slot per
+// physical register.
+func checkBookkeeping(p *Pipeline, seen []int) error {
 	clear(seen)
 	for _, r := range p.freePhys {
 		seen[r]++
@@ -55,15 +59,23 @@ func checkRename(p *Pipeline, seen []int) error {
 	for _, r := range p.rat {
 		seen[r]++
 	}
+	stalled := 0
 	for i := 0; i < p.rob.len(); i++ {
-		if e := p.rob.at(i); e.hasDest {
+		e := p.rob.at(i)
+		if e.hasDest {
 			seen[e.oldPhys]++
+		}
+		if e.stall {
+			stalled++
 		}
 	}
 	for r, n := range seen {
 		if n != 1 {
 			return fmt.Errorf("physical register %d accounted for %d times", r, n)
 		}
+	}
+	if stalled != p.stalled {
+		return fmt.Errorf("stalled count %d, ROB holds %d stalled entries", p.stalled, stalled)
 	}
 	return nil
 }

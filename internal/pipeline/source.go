@@ -13,10 +13,13 @@ import (
 // Two implementations exist: *arch.Trace — the golden-model lockstep oracle,
 // records straight from the functional simulator — and *replay.View, a
 // bounded view of a compact columnar stream materialized once per workload
-// and shared across every configuration of a sweep (DESIGN.md §10). The two
-// are pinned answer-identical by the replay package's round-trip tests and
-// the replay-vs-lockstep equivalence tests, so which one backs a run is
-// unobservable in the statistics.
+// and shared across every configuration of a sweep (DESIGN.md §10). For a
+// view, fetch and retirement read the stream's columns directly and build a
+// record only to word a validation error; any other source answers through
+// this interface, which makes the trace the reference for the column path.
+// The two are pinned answer-identical by the replay package's round-trip
+// tests and the replay-vs-lockstep equivalence tests, so which one backs a
+// run is unobservable in the statistics.
 //
 // A source is read-only; one instance may back any number of concurrent
 // pipelines.

@@ -113,9 +113,10 @@ func Assemble(name, src string) (*Image, error) { return asm.Assemble(name, src)
 // Disassemble renders an image's code segment as text.
 func Disassemble(img *Image) string { return asm.Disassemble(img) }
 
-// Run simulates the program on the configured processor, validating every
-// retired instruction against the functional golden model, and returns the
-// run statistics.
+// Run simulates the program on the configured processor and returns the run
+// statistics. The functional golden model first materializes the program's
+// reference stream (at most cfg.MaxInsts instructions, 20 B each); every
+// retired instruction is validated against it.
 func Run(cfg Config, img *Image) (*Stats, error) {
 	p, err := pipeline.New(cfg, img)
 	if err != nil {
