@@ -25,14 +25,14 @@
 //     over ROB slots, and issue walks only its set bits. Memory
 //     instructions additionally need their consumed dependence tag ready
 //     and their stall bit clear (both waived at the ROB head — the §2.2
-//     lockup bypass). Execution is performed at issue: operands are read, addresses computed, the
-//     memory subsystem consulted, and a completion event scheduled
-//     latency cycles ahead. The memory unit may instead *drop* the
-//     instruction (structural conflict, corruption), returning it to the
-//     scheduler with its stall bit set — the paper's re-execution
-//     mechanism. A count of stalled ROB entries lets the clearing, which
-//     runs whenever the MDT or SFC frees an entry, skip the ROB when no
-//     bit is set.
+//     lockup bypass). Execution is performed at issue: operands are
+//     read, addresses computed, the memory subsystem consulted, and a
+//     completion event scheduled latency cycles ahead. The memory unit
+//     may instead *drop* the instruction (structural conflict,
+//     corruption), returning it to the scheduler with its stall bit set —
+//     the paper's re-execution mechanism. A count of stalled ROB entries
+//     lets the clearing, which runs whenever the MDT or SFC frees an
+//     entry, skip the ROB when no bit is set.
 //  4. dispatch — up to Width instructions move from the fetch queue into
 //     the ROB: memory-dependence-predictor lookup (may stall on tag-pool
 //     exhaustion), source renaming, destination allocation (the entry

@@ -200,6 +200,13 @@ func TestAntiOutputPressure(t *testing.T) {
 
 // TestJalrReturn exercises call/return through JALR.
 func TestJalrReturn(t *testing.T) {
+	runBoth(t, callReturnProgram(t), 5_000)
+}
+
+// callReturnProgram is a small call/return loop: JAL with a link
+// destination, JALR through it, a conditional loop branch, a store and HALT.
+func callReturnProgram(t *testing.T) *prog.Image {
+	t.Helper()
 	b := prog.NewBuilder("jalr")
 	out := b.Word64(0)
 	b.Li(2, 50)
@@ -218,7 +225,7 @@ func TestJalrReturn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	runBoth(t, img, 5_000)
+	return img
 }
 
 // TestTinyStructures runs the forwarding stress with a minimal SFC and MDT

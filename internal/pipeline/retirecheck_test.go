@@ -113,12 +113,12 @@ func TestRetireCheckMatchesRecord(t *testing.T) {
 }
 
 // retiringEntry builds the ROB entry a correct retirement of record i
-// carries, the way dispatch and execute fill it in.
+// carries: the fields dispatch and execute fill in that validateRetire reads.
 func retiringEntry(i int, rec *arch.Record, d *isa.DecodedInst) entry {
 	e := entry{
 		seq: seqnum.Seq(i + 1), pc: rec.PC, inst: rec.Inst, dec: d, traceIdx: i,
 		isLoad: d.IsLoad, isStore: d.IsStore, isCond: d.IsBranch, isJump: d.IsJump,
-		memAddr: rec.Addr, memSize: rec.MemSize, actualTaken: rec.Taken, actualNext: rec.NextPC,
+		memAddr: rec.Addr, actualNext: rec.NextPC,
 	}
 	if d.HasDest {
 		e.hasDest, e.destArch = true, d.DestReg
@@ -128,8 +128,6 @@ func retiringEntry(i int, rec *arch.Record, d *isa.DecodedInst) entry {
 		e.result = rec.LoadVal
 	case rec.IsStore:
 		e.memVal = rec.StoreVal
-	case d.IsJump:
-		e.result = rec.PC + 4
 	default:
 		e.result = rec.DestVal
 	}
@@ -158,29 +156,4 @@ func errText(err error) string {
 		return ""
 	}
 	return err.Error()
-}
-
-// callReturnProgram is a small call/return loop: JAL with a link
-// destination, JALR through it, a conditional loop branch, a store and HALT.
-func callReturnProgram(t *testing.T) *prog.Image {
-	t.Helper()
-	b := prog.NewBuilder("callret")
-	out := b.Word64(0)
-	b.Li(2, 50)
-	b.Li(3, 0)
-	b.Label("loop")
-	b.Call("double")
-	b.Addi(2, 2, -1)
-	b.Bne(2, 0, "loop")
-	b.La(6, out)
-	b.Sd(3, 0, 6)
-	b.Halt()
-	b.Label("double")
-	b.Addi(3, 3, 2)
-	b.Ret()
-	img, err := b.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	return img
 }
