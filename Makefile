@@ -1,16 +1,20 @@
 # Developer/CI entry points. `make ci` is the gate a change must pass:
-# vet + gofmt + build + race-enabled tests + a single-iteration benchmark
+# vet + gofmt + build + race-enabled tests (including the exact zero-alloc
+# tests of the cycle loop and its structures) + a single-iteration benchmark
 # smoke run (catches benchmarks that no longer compile or crash without
-# paying for a full measurement) + short fuzz runs of the word-granular
-# memory paths and the memoizing cache against their references + the
-# measured suite diffed against the committed baseline report
-# (calibration-normalized ns/op, exact alloc and zero-byte guarantees, and a
-# failure on any entry the baseline is missing) + vet and tests of the nested
-# bench/ module, which root `go test ./...` skips.
+# paying for a full measurement) + vet and tests of the nested bench/
+# module, which root `go test ./...` skips + short fuzz runs of the
+# word-granular memory paths and the memoizing cache against their
+# references + a one-second pass of every bench/ workload that must report
+# correct output + the serving, sampling and cluster smoke tests.
+#
+# Timings are not gated here: a change that only slows the simulator passes
+# `make ci`. Judge timings with `bash bench/ab.sh REV`, which runs
+# alternating pairs against a revision and tells a change from host noise.
 
 GO ?= go
 
-.PHONY: all vet fmt-check build test race bench-smoke fuzz-smoke bench bench-json bench-check bench-build serve-smoke sample-smoke cluster-smoke ci
+.PHONY: all vet fmt-check build test race bench-smoke fuzz-smoke bench bench-build bench-verify serve-smoke sample-smoke cluster-smoke ci
 
 all: build
 
@@ -47,24 +51,20 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Regenerate the machine-readable benchmark report.
-bench-json:
-	$(GO) run ./cmd/sfcbench -insts 20000 -json BENCH_PR10.json bench all
-
-# Diff a fresh run against the committed report. The tool's default
-# tolerance (10%) suits a quiet, pinned machine; shared runners see
-# memory-bandwidth contention spikes of ~40% that pure-CPU calibration
-# cannot divide out, so the convenience target allows 50% — loose for small
-# slips, but alloc regressions are always flagged exactly, and losing the
-# event wheel (+700% ns/op) or the entry pool (+2000%) trips it instantly.
-bench-check:
-	$(GO) run ./cmd/sfcbench -insts 20000 -baseline BENCH_PR10.json -tolerance 0.5 bench all
-
 # The repository benchmark (bench/, its own module) compiles against the
 # snapshot, replay, sample, harness and service APIs; vet and test it so an
 # API change cannot break it unnoticed.
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# A one-second pass of every bench/ workload: it must measure, and every
+# workload must report output matching bench/testdata/digests.json. Its
+# timings are not judged (see the header).
+bench-verify:
+	rm -f .bench_build/ci.json
+	bash bench/run.sh --seconds 1 --out .bench_build/ci.json
+	@if ! grep -q '"correct":true' .bench_build/ci.json || grep -q '"correct":false' .bench_build/ci.json; then \
+		echo "bench-verify: a workload reported incorrect output (see .bench_build/ci.json)"; exit 1; fi
 
 # End-to-end smoke of the serving stack: sfcserve on an ephemeral port,
 # an sfcload burst that must hit the cache/coalescer for >=50% of requests,
@@ -86,4 +86,4 @@ sample-smoke:
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
-ci: vet fmt-check build race bench-smoke bench-build fuzz-smoke bench-check serve-smoke sample-smoke cluster-smoke
+ci: vet fmt-check build race bench-smoke bench-build fuzz-smoke bench-verify serve-smoke sample-smoke cluster-smoke

@@ -13,7 +13,6 @@ package sfcmdt_test
 import (
 	"testing"
 
-	"sfcmdt/internal/arch"
 	"sfcmdt/internal/core"
 	"sfcmdt/internal/harness"
 	"sfcmdt/internal/pipeline"
@@ -98,11 +97,6 @@ func benchPipeline(b *testing.B, cfg sim.Config, name string) {
 		b.Fatal("unknown workload")
 	}
 	img := w.Build()
-	tr, err := sim.GoldenTrace(img, cfg.MaxInsts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = tr
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(cfg, img); err != nil {
@@ -192,9 +186,8 @@ func BenchmarkLSQSearch(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Cycle-loop micro-benchmarks: the event wheel and entry pool that replaced
-// the seed's map-of-slices scheduler and per-dispatch allocations
-// (cmd/sfcbench measures equivalent loops).
+// Cycle-loop micro-benchmarks: the event wheel that replaced the seed's
+// map-of-slices scheduler, and one warm pipeline cycle.
 
 // BenchmarkEventWheel models the pipeline's real event mix — a few
 // completions scheduled per cycle at latencies spread across the wheel
@@ -212,34 +205,8 @@ func BenchmarkEventWheel(b *testing.B) {
 	}
 }
 
-type benchROBEntry struct {
-	seq, pc, addr, val uint64
-	ratSnap            []uint64
-	flags              [4]bool
-}
-
-// BenchmarkEntryPooled measures dispatch-retire entry churn through a free
-// list that preserves each entry's RAT-snapshot backing array.
-func BenchmarkEntryPooled(b *testing.B) {
-	var pool []*benchROBEntry
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var e *benchROBEntry
-		if n := len(pool); n > 0 {
-			e = pool[n-1]
-			pool = pool[:n-1]
-			snap := e.ratSnap
-			*e = benchROBEntry{ratSnap: snap}
-		} else {
-			e = &benchROBEntry{ratSnap: make([]uint64, 32)}
-		}
-		e.seq = uint64(i)
-		pool = append(pool, e)
-	}
-}
-
-// BenchmarkPipelineSteadyCycle measures one warm pipeline cycle — the
-// number the tentpole optimises. Expect ~0 allocs/op.
+// BenchmarkPipelineSteadyCycle measures one warm pipeline cycle, bound to a
+// replay stream as production binds it. Expect 0 allocs/op.
 func BenchmarkPipelineSteadyCycle(b *testing.B) {
 	const insts = 400_000
 	build := func() *pipeline.Pipeline {
@@ -247,13 +214,7 @@ func BenchmarkPipelineSteadyCycle(b *testing.B) {
 		if !ok {
 			b.Fatal("workload swim not registered")
 		}
-		img := w.Build()
-		cfg := harness.BaselineConfig(harness.MDTSFCEnf, insts)
-		tr, err := arch.RunTrace(img, insts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := pipeline.NewWithTrace(cfg, img, tr)
+		p, err := pipeline.New(harness.BaselineConfig(harness.MDTSFCEnf, insts), w.Build())
 		if err != nil {
 			b.Fatal(err)
 		}

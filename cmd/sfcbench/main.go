@@ -5,20 +5,6 @@
 // Usage:
 //
 //	sfcbench [-insts N] [-v] <experiment>...
-//	sfcbench [-insts N] [-v] [-json FILE] [-baseline FILE] [-tolerance F] bench [name...]
-//
-// The bench subcommand runs the performance suite (event-wheel scheduling,
-// pooled entry churn, the word-granular memory substrate and its page TLB,
-// SFC/MDT/store-FIFO micro-benchmarks, the wakeup vs linear-scan issue
-// schedulers, the steady-state pipeline cycle, and the Figure 5 macro run)
-// and reports ns/op, B/op, allocs/op, and simulated MIPS per entry. -json writes the rows to a file (the committed
-// BENCH_PR5.json is one such report); -baseline diffs the fresh rows
-// against a committed report and exits nonzero when any entry regresses by
-// more than -tolerance, allocates where the baseline did not, or is missing
-// from the baseline file. Entries that *improved* by more than 40% are
-// printed as SUSPICIOUS (advisory): that usually means the machine changed
-// and the baseline should be regenerated before the gate silently inflates.
-// -cpuprofile/-memprofile write pprof profiles covering the suite run.
 //
 // Experiments:
 //
@@ -47,8 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"sfcmdt/internal/harness"
@@ -57,78 +41,14 @@ import (
 func main() {
 	insts := flag.Uint64("insts", 200_000, "correct-path instructions simulated per run")
 	verbose := flag.Bool("v", false, "print per-run progress")
-	jsonOut := flag.String("json", "", "write bench results as JSON to this file")
-	baseline := flag.String("baseline", "", "compare bench results against this JSON report; exit 1 on regression")
-	tolerance := flag.Float64("tolerance", 0.10, "fractional ns/op regression tolerated by -baseline")
-	repeat := flag.Int("repeat", 3, "measure each benchmark N times and keep the fastest (noise suppression)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the bench suite to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile taken after the bench suite to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: sfcbench [-insts N] [-v] <experiment>...\n       sfcbench [-insts N] [-v] [-json FILE] [-baseline FILE] [-tolerance F] bench [name...]\n\nexperiments: figure4 figure5 figure6 violations enf-vs-notenf conflicts assoc16 corruption granularity recovery tagged-vs-untagged flush-endpoints window-scaling search-work value-replay multi-version structure-scaling search-filter all\n")
+		fmt.Fprintf(os.Stderr, "usage: sfcbench [-insts N] [-v] <experiment>...\n\nexperiments: figure4 figure5 figure6 violations enf-vs-notenf conflicts assoc16 corruption granularity recovery tagged-vs-untagged flush-endpoints window-scaling search-work value-replay multi-version structure-scaling search-filter all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	if flag.NArg() < 1 {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if flag.Arg(0) == "bench" {
-		if *cpuProfile != "" {
-			f, err := os.Create(*cpuProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sfcbench: cpuprofile: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			if err := pprof.StartCPUProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "sfcbench: cpuprofile: %v\n", err)
-				os.Exit(1)
-			}
-			defer pprof.StopCPUProfile()
-		}
-		results, err := runBenchSuite(flag.Args()[1:], *insts, *repeat, *verbose)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sfcbench: bench: %v\n", err)
-			os.Exit(1)
-		}
-		if *memProfile != "" {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sfcbench: memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			runtime.GC() // flush outstanding allocations into the profile
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "sfcbench: memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
-		printBenchTable(results)
-		if *jsonOut != "" {
-			if err := writeBenchJSON(*jsonOut, results); err != nil {
-				fmt.Fprintf(os.Stderr, "sfcbench: write %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-		}
-		if *baseline != "" {
-			regressions, suspicious, err := compareBaseline(*baseline, *tolerance, results)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sfcbench: baseline: %v\n", err)
-				os.Exit(1)
-			}
-			for _, s := range suspicious {
-				fmt.Fprintf(os.Stderr, "SUSPICIOUS: %s\n", s)
-			}
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "REGRESSION: %s\n", r)
-			}
-			if len(regressions) > 0 {
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "baseline %s: no regressions beyond %.0f%%\n", *baseline, 100**tolerance)
-		}
-		return
 	}
 	r := harness.NewRunner(*insts)
 	if *verbose {

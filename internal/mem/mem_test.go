@@ -111,6 +111,45 @@ func TestSparseTLBAliasing(t *testing.T) {
 	}
 }
 
+// The word paths are the simulator's per-access hot path: once the pages a
+// loop touches are mapped, a word write and read within a few pages must
+// not allocate.
+func TestSparseWordZeroAllocs(t *testing.T) {
+	m := NewSparse()
+	for a := uint64(0); a < 4*pageSize; a += 8 {
+		m.WriteWord64(a, a)
+	}
+	var i, x uint64
+	op := func() {
+		addr := i % (4 * pageSize / 8) * 8
+		m.WriteWord64(addr, x)
+		x ^= m.ReadWord64(addr)
+		i++
+	}
+	if avg := testing.AllocsPerRun(10_000, op); avg != 0 {
+		t.Errorf("word write+read: %v allocs/op, want 0", avg)
+	}
+}
+
+// A page-strided read across a TLB-resident working set (32 pages, half
+// the TLB) resolves a different page every access, all hits, and must not
+// allocate.
+func TestSparseTLBZeroAllocs(t *testing.T) {
+	const pages = tlbSize / 2
+	m := NewSparse()
+	for p := uint64(0); p < pages; p++ {
+		m.WriteWord64(p*pageSize, p)
+	}
+	var i, x uint64
+	op := func() {
+		x ^= m.ReadWord64(i % pages * pageSize)
+		i++
+	}
+	if avg := testing.AllocsPerRun(10_000, op); avg != 0 {
+		t.Errorf("page-strided read: %v allocs/op, want 0", avg)
+	}
+}
+
 // A clone must not share TLB state with the original: writes to one image
 // stay invisible to the other even for pages hot in the source's TLB.
 func TestSparseCloneTLBIndependent(t *testing.T) {

@@ -3,9 +3,8 @@ package metrics
 import "reflect"
 
 // extremumFields are the counters that are running extrema rather than sums.
-// Merge takes the max, Delta keeps the later value, and Scale leaves them
-// alone — scaling a peak by a sampling ratio would be meaningless. Every
-// other Stats field is an additive count, which is what lets the helpers walk
+// Merge takes the max and Delta keeps the later value. Every other Stats
+// field is an additive count, which is what lets the helpers walk
 // the struct by reflection instead of naming each field (the reflection test
 // in combine_test.go enforces that new fields are uint64 and so inherit the
 // additive treatment unless listed here).
@@ -49,18 +48,4 @@ func (s *Stats) Delta(base *Stats) *Stats {
 		dv.Field(i).SetUint(sv.Field(i).Uint() - bv.Field(i).Uint())
 	}
 	return d
-}
-
-// Scale multiplies every additive counter by num/den (extrema are left
-// unchanged), for extrapolating sampled-interval counts to a full-run
-// estimate. den must be nonzero.
-func (s *Stats) Scale(num, den uint64) {
-	sv := reflect.ValueOf(s).Elem()
-	t := sv.Type()
-	for i := 0; i < t.NumField(); i++ {
-		if extremumFields[t.Field(i).Name] {
-			continue
-		}
-		sv.Field(i).SetUint(sv.Field(i).Uint() * num / den)
-	}
 }

@@ -25,7 +25,7 @@ func TestStatsAllFieldsUint64(t *testing.T) {
 	for i := 0; i < st.NumField(); i++ {
 		f := st.Field(i)
 		if f.Type.Kind() != reflect.Uint64 {
-			t.Errorf("field %s is %s; Stats fields must be uint64 for Merge/Delta/Scale", f.Name, f.Type)
+			t.Errorf("field %s is %s; Stats fields must be uint64 for Merge/Delta", f.Name, f.Type)
 		}
 	}
 	for name := range extremumFields {
@@ -77,24 +77,6 @@ func TestDeltaEveryField(t *testing.T) {
 	// Delta must not mutate its operands.
 	if !reflect.DeepEqual(final, fill(1000)) || !reflect.DeepEqual(base, fill(100)) {
 		t.Error("Delta mutated an operand")
-	}
-}
-
-func TestScaleEveryField(t *testing.T) {
-	s := fill(100)
-	s.Scale(10, 2)
-	sv := reflect.ValueOf(s).Elem()
-	st := sv.Type()
-	for i := 0; i < st.NumField(); i++ {
-		name := st.Field(i).Name
-		orig := 100 + uint64(i)*3
-		want := orig * 10 / 2
-		if extremumFields[name] {
-			want = orig
-		}
-		if got := sv.Field(i).Uint(); got != want {
-			t.Errorf("Scale: field %s = %d, want %d", name, got, want)
-		}
 	}
 }
 

@@ -28,6 +28,24 @@ func buildWorkloadPipeline(t *testing.T, name string, cfg Config, maxInsts uint6
 	return p
 }
 
+// buildStreamPipeline is buildWorkloadPipeline bound the way production binds
+// a pipeline: New materializes a columnar replay stream and binds its
+// *replay.View, so the zero-alloc tests cover the view-bound fetch and
+// retire paths as well as the AoS trace's.
+func buildStreamPipeline(t *testing.T, name string, cfg Config, maxInsts uint64) *Pipeline {
+	t.Helper()
+	w, ok := workload.Get(name)
+	if !ok {
+		t.Fatalf("workload %q not registered", name)
+	}
+	cfg.MaxInsts = maxInsts
+	p, err := New(cfg, w.Build())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return p
+}
+
 // TestSteadyStateCycleZeroAllocs is the tentpole's acceptance gate: once the
 // entry pool, rings, and event wheel are warm, stepping the pipeline must
 // not allocate. The only sanctioned allocation on the cycle path is the
@@ -36,14 +54,16 @@ func buildWorkloadPipeline(t *testing.T, name string, cfg Config, maxInsts uint6
 // zero.
 func TestSteadyStateCycleZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		build func(*testing.T, string, Config, uint64) *Pipeline
 	}{
-		{"mdtsfc", testConfigs(0)[0]},
-		{"lsq", testConfigs(0)[1]},
+		{"mdtsfc", testConfigs(0)[0], buildWorkloadPipeline},
+		{"lsq", testConfigs(0)[1], buildWorkloadPipeline},
+		{"mdtsfc-stream", testConfigs(0)[0], buildStreamPipeline},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := buildWorkloadPipeline(t, "swim", tc.cfg, 400_000)
+			p := tc.build(t, "swim", tc.cfg, 400_000)
 			// Warm up: fill the entry pool, rings, wheel buckets, and the
 			// memory image's store-touched pages.
 			for i := 0; i < 30_000; i++ {
@@ -76,14 +96,16 @@ func TestSteadyStateCycleZeroAllocs(t *testing.T) {
 // zero, same as the stepped gate above.
 func TestElideLoopZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		build func(*testing.T, string, Config, uint64) *Pipeline
 	}{
-		{"mdtsfc", testConfigs(0)[0]},
-		{"lsq", testConfigs(0)[1]},
+		{"mdtsfc", testConfigs(0)[0], buildWorkloadPipeline},
+		{"lsq", testConfigs(0)[1], buildWorkloadPipeline},
+		{"mdtsfc-stream", testConfigs(0)[0], buildStreamPipeline},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := buildWorkloadPipeline(t, "ptrchase", tc.cfg, 400_000)
+			p := tc.build(t, "ptrchase", tc.cfg, 400_000)
 			if !p.elides() {
 				t.Fatal("config does not elide")
 			}

@@ -130,21 +130,20 @@ type Config struct {
 	MaxInsts  uint64 // dynamic correct-path instruction budget
 	MaxCycles uint64 // deadlock guard; 0 = derived from MaxInsts
 
-	// LinearScanScheduler selects the retired O(window) issue loop that
-	// re-scans the whole ROB every cycle instead of the wakeup-driven ready
-	// bitset. The two schedulers issue identical instruction sequences (a
-	// differential test enforces it); the scan is kept as the oracle and for
-	// the issue-scan benchmark entry.
-	LinearScanScheduler bool
-
 	// NoElide disables idle-cycle elision: the run loop steps every cycle
 	// individually instead of jumping over provably quiescent spans. Kept
-	// as the oracle for the elision differential test (TestElideEquivalence)
-	// and the pipeline-stall-cycle-noelide benchmark entry. Elision is also
-	// implicitly off under LinearScanScheduler, whose per-cycle re-polling
-	// the quiescence predicate does not model. Stats are bit-identical
-	// either way, except that Stats.CyclesElided stays zero here.
+	// as the oracle for the elision differential test (TestElideEquivalence).
+	// Stats are bit-identical either way, except that Stats.CyclesElided
+	// stays zero here.
 	NoElide bool
+
+	// linearScan selects the retired O(window) issue loop that re-scans the
+	// whole ROB every cycle instead of the wakeup-driven ready bitset. The
+	// two schedulers issue identical instruction sequences; the scan is the
+	// oracle the package's scheduler differential tests set it for. Elision
+	// is implicitly off under it, since the quiescence predicate does not
+	// model its per-cycle re-polling.
+	linearScan bool
 }
 
 // Validate fills defaults and checks consistency.

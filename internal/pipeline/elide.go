@@ -68,7 +68,7 @@ const (
 // it is the wakeup scheduler's oracle and stays on the stepped loop, whose
 // behaviour it was differentially tested against.
 func (p *Pipeline) elides() bool {
-	return !p.cfg.NoElide && !p.cfg.LinearScanScheduler
+	return !p.cfg.NoElide && !p.cfg.linearScan
 }
 
 // quiesce reports whether the upcoming cycle (p.cycle) is quiescent: every

@@ -249,24 +249,35 @@ func TestFrontendSquashRecovery(t *testing.T) {
 
 // TestFrontendSteadyStateZeroAllocs extends the zero-alloc gate to the full
 // frontend stack: TAGE lookups/updates, prefetch training and issue, and
-// pre-probes must not allocate on the steady-state cycle path.
+// pre-probes must not allocate on the steady-state cycle path, bound to
+// either kind of reference stream.
 func TestFrontendSteadyStateZeroAllocs(t *testing.T) {
-	p := buildWorkloadPipeline(t, "strided", frontendConfig(0), 400_000)
-	for i := 0; i < 30_000; i++ {
-		if !p.Step() {
-			t.Fatalf("pipeline finished during warmup (retired %d)", p.Stats().Retired)
-		}
-	}
-	const stepsPerRun = 2000
-	avg := testing.AllocsPerRun(5, func() {
-		for i := 0; i < stepsPerRun; i++ {
-			p.step()
-		}
-	})
-	if p.done {
-		t.Fatalf("pipeline finished during measurement (retired %d)", p.Stats().Retired)
-	}
-	if perCycle := avg / stepsPerRun; perCycle != 0 {
-		t.Errorf("frontend steady-state cycle allocates %.4f allocs/cycle, want 0", perCycle)
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T, string, Config, uint64) *Pipeline
+	}{
+		{"trace", buildWorkloadPipeline},
+		{"stream", buildStreamPipeline},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.build(t, "strided", frontendConfig(0), 400_000)
+			for i := 0; i < 30_000; i++ {
+				if !p.Step() {
+					t.Fatalf("pipeline finished during warmup (retired %d)", p.Stats().Retired)
+				}
+			}
+			const stepsPerRun = 2000
+			avg := testing.AllocsPerRun(5, func() {
+				for i := 0; i < stepsPerRun; i++ {
+					p.step()
+				}
+			})
+			if p.done {
+				t.Fatalf("pipeline finished during measurement (retired %d)", p.Stats().Retired)
+			}
+			if perCycle := avg / stepsPerRun; perCycle != 0 {
+				t.Errorf("frontend steady-state cycle allocates %.4f allocs/cycle, want 0", perCycle)
+			}
+		})
 	}
 }

@@ -1209,7 +1209,7 @@ func (p *Pipeline) onTagReady(tag core.TagID) {
 }
 
 func (p *Pipeline) issue() {
-	if p.cfg.LinearScanScheduler {
+	if p.cfg.linearScan {
 		p.issueScan()
 		return
 	}
@@ -1307,8 +1307,8 @@ func (p *Pipeline) issueRange(lo, hi int, issued, memIssued *int) bool {
 
 // issueScan is the retired O(window) scheduler: re-scan the whole ROB every
 // cycle, re-checking each entry's operand and tag readiness. Kept as the
-// oracle for the wakeup scheduler's differential test (and the issue-scan
-// benchmark entry); selected by Config.LinearScanScheduler.
+// oracle for the wakeup scheduler's differential test; selected by
+// Config.linearScan.
 func (p *Pipeline) issueScan() {
 	issued := 0
 	memIssued := 0

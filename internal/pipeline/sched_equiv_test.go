@@ -80,7 +80,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 			img := randomProgram(r, fmt.Sprintf("eq%d", seed))
 			for _, cfg := range schedEquivConfigs() {
 				scanCfg := cfg
-				scanCfg.LinearScanScheduler = true
+				scanCfg.linearScan = true
 				oracle, err := New(scanCfg, img)
 				if err != nil {
 					t.Fatalf("%s scan: %v", cfg.Name, err)
@@ -119,7 +119,7 @@ func TestSchedulerEquivalenceResetReuse(t *testing.T) {
 	img := randomProgram(r, "eqreuse")
 	cfg := schedEquivConfigs()[0]
 	scanCfg := cfg
-	scanCfg.LinearScanScheduler = true
+	scanCfg.linearScan = true
 
 	p, err := New(scanCfg, img)
 	if err != nil {

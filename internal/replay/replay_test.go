@@ -2,7 +2,9 @@ package replay
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sfcmdt/internal/arch"
@@ -221,4 +223,48 @@ func TestStreamBytesPerInst(t *testing.T) {
 		t.Fatalf("encoded stream is %.1f bytes/inst, expected ~20", perInst)
 	}
 	fmt.Printf("encoded stream: %.2f bytes/inst over %d insts\n", perInst, s.Len())
+
+	// Resident cost: MaterializeFrom on a warm machine sizes its four
+	// columns once from n, so it allocates the same few times whatever n
+	// is, and holds 4+8+8+1/8 = 20.125 bytes per instruction plus a fixed
+	// overhead (the Stream header, the predecode table, and each column's
+	// rounding up to a whole 8 KiB page). Each figure is the minimum over
+	// three calls: the runtime's own occasional allocations (GC workers,
+	// timers) only ever add to a count.
+	w, _ = workload.Get("mcf")
+	img = w.Build()
+	materialize := func(n uint64) (mallocs, bytes uint64) {
+		mallocs, bytes = math.MaxUint64, math.MaxUint64
+		for rep := 0; rep < 3; rep++ {
+			m := arch.New(img)
+			if _, err := MaterializeFrom(m, 300_000); err != nil { // map every page the span touches
+				t.Fatal(err)
+			}
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err := MaterializeFrom(m, n)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Len() != int(n) {
+				t.Fatalf("materialized %d insts, want %d", s.Len(), n)
+			}
+			mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return mallocs, bytes
+	}
+	var mallocs []uint64
+	for _, n := range []uint64{50_000, 200_000} {
+		count, bytes := materialize(n)
+		if limit := n*81/4 + 32<<10; bytes > limit {
+			t.Errorf("MaterializeFrom(%d) allocated %d B (%.2f B/inst), want at most %d", n, bytes, float64(bytes)/float64(n), limit)
+		}
+		mallocs = append(mallocs, count)
+	}
+	if mallocs[0] != mallocs[1] {
+		t.Errorf("MaterializeFrom allocated %d times for 50k insts and %d for 200k, want a per-call constant", mallocs[0], mallocs[1])
+	}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // sameResult asserts every derived field of two sampled results matches
-// bit-for-bit: merged counters, per-interval IPCs, CV, extrapolation.
+// bit-for-bit: merged counters, per-interval IPCs, CV, accounting.
 func sameResult(t *testing.T, want, got *sample.Result, label string) {
 	t.Helper()
 	if *want.Measured != *got.Measured {
@@ -29,9 +29,6 @@ func sameResult(t *testing.T, want, got *sample.Result, label string) {
 	if want.IPC != got.IPC || want.CV != got.CV {
 		t.Errorf("%s: IPC/CV differ: want %v/%v got %v/%v", label, want.IPC, want.CV, got.IPC, got.CV)
 	}
-	if *want.Extrapolated != *got.Extrapolated {
-		t.Errorf("%s: Extrapolated differs", label)
-	}
 	if want.Intervals != got.Intervals || want.WarmInsts != got.WarmInsts || want.FFInsts != got.FFInsts {
 		t.Errorf("%s: accounting differs: intervals %d/%d warm %d/%d ff %d/%d", label,
 			want.Intervals, got.Intervals, want.WarmInsts, got.WarmInsts, want.FFInsts, got.FFInsts)
@@ -40,7 +37,7 @@ func sameResult(t *testing.T, want, got *sample.Result, label string) {
 
 // TestParallelSerialBitIdentical pins RunParallel to the serial oracle at
 // several worker counts and GOMAXPROCS settings: merged stats, per-interval
-// IPCs (float bits), CV, and extrapolated counters must all match exactly.
+// IPCs (float bits) and CV must all match exactly.
 func TestParallelSerialBitIdentical(t *testing.T) {
 	plan := sample.Plan{FastForward: 2_000, Warm: 300, Measure: 700, Intervals: 6}
 	cfg := harness.BaselineConfig(harness.MDTSFCEnf, 0)
@@ -224,7 +221,7 @@ func TestPrepareParallelRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.FFInsts, got.Extrapolated = want.FFInsts, want.Extrapolated // restore-path runs skip the ff cost
+	got.FFInsts = want.FFInsts // provenance: the restore path fast-forwarded nothing
 	sameResult(t, want, got, "restored")
 }
 

@@ -8,7 +8,7 @@
 // variation over intervals.
 //
 // Interval preparation (one functional pass producing per-interval start
-// states and golden traces) is independent of the pipeline configuration, so
+// states and replay streams) is independent of the pipeline configuration, so
 // a sweep prepares once and measures each config against the shared
 // intervals; with a snapshot.Store attached, the per-interval start states
 // are checkpointed and later sweeps (or other processes) skip the functional
@@ -123,8 +123,8 @@ type Intervals struct {
 // serial only across actual gaps between checkpoints. Preparation stops
 // early if the program halts; at least one interval must be preparable.
 //
-// Each interval's detailed portion is held as a compact columnar replay
-// stream (~4-5× smaller than the AoS trace it is converted from).
+// Each interval's detailed portion is materialized directly as a compact
+// columnar replay stream (~4-5× smaller than the equivalent AoS trace).
 func Prepare(img *prog.Image, plan Plan, store snapshot.Store, args string) (*Intervals, error) {
 	return prepare(img, plan, store, args, false)
 }
@@ -244,24 +244,26 @@ func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args strin
 			return
 		}
 		st := &pipeline.StartState{Regs: m.Regs, PC: m.PC, Mem: m.Mem.Clone()}
-		tr, err := arch.RunTraceFrom(m, plan.Warm+plan.Measure)
-		if err != nil {
-			out.err = err
-			return
-		}
-		if tr.Len() == 0 {
-			out.halted = true
-			return
-		}
-		var src pipeline.ReplaySource = tr
-		if !trace {
-			s, err := replay.FromTrace(img, tr)
+		var src pipeline.ReplaySource
+		if trace {
+			tr, err := arch.RunTraceFrom(m, plan.Warm+plan.Measure)
+			if err != nil {
+				out.err = err
+				return
+			}
+			src = tr
+		} else {
+			s, err := replay.MaterializeFrom(m, plan.Warm+plan.Measure)
 			if err != nil {
 				out.err = err
 				return
 			}
 			s.Anchors = []uint64{start}
 			src = s.All()
+		}
+		if src.Len() == 0 {
+			out.halted = true
+			return
 		}
 		out.ivs = append(out.ivs, Interval{Offset: start, Start: st, Src: src})
 		if m.Halted {
@@ -319,12 +321,10 @@ type Result struct {
 	CV          float64
 	IntervalIPC []float64
 
-	// Extrapolated scales Measured's additive counters to the plan's full
-	// instruction span, the sampled stand-in for a full detailed run's
-	// counter set.
-	Extrapolated *metrics.Stats
-
-	FFInsts   uint64 // functionally executed instructions (preparation)
+	// FFInsts is what this preparation fast-forwarded (Intervals.FFInsts):
+	// provenance, 0 when every interval start was restored from a
+	// checkpoint, so it differs between servings of the same plan.
+	FFInsts   uint64
 	WarmInsts uint64 // detailed instructions whose stats were discarded
 }
 
@@ -452,13 +452,6 @@ func (ivs *Intervals) RunParallel(ctx context.Context, cfg pipeline.Config, para
 	}
 	res.IPC = res.Measured.IPC()
 	res.CV = cv(res.IntervalIPC)
-
-	span := res.FFInsts + res.WarmInsts + res.Measured.Retired
-	ex := *res.Measured
-	if res.Measured.Retired > 0 {
-		ex.Scale(span, res.Measured.Retired)
-	}
-	res.Extrapolated = &ex
 	return res, firstErr
 }
 

@@ -56,6 +56,28 @@ func TestFastForward(t *testing.T) {
 	}
 }
 
+// TestFastForwardZeroAllocs pins fast-forward, the functional model's
+// per-instruction loop, as allocation-free once the pages the program
+// touches are mapped.
+func TestFastForwardZeroAllocs(t *testing.T) {
+	m := image(t, "mcf")
+	if err := sample.FastForward(m, 200_000); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10_000
+	avg := testing.AllocsPerRun(20, func() {
+		if err := sample.FastForward(m, n); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if m.Halted || m.Count != 200_000+21*n {
+		t.Fatalf("fast-forwarded to %d insts (halted %v), want %d", m.Count, m.Halted, 200_000+21*n)
+	}
+	if avg != 0 {
+		t.Errorf("warm fast-forward: %v allocs per %d insts, want 0", avg, n)
+	}
+}
+
 // TestFullMeasureBitIdentical is the sampled-vs-full equivalence anchor: a
 // plan that measures 100% of the budget in one interval must reproduce the
 // full detailed run's statistics — not approximately, bit-identically.

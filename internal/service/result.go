@@ -72,7 +72,9 @@ type SamplingResult struct {
 	CV          float64   `json:"cv"`
 	IntervalIPC []float64 `json:"interval_ipc,omitempty"`
 	// Instruction accounting: functionally fast-forwarded, detailed-warm
-	// (statistics discarded), and measured.
+	// (statistics discarded), and measured. FFInsts is provenance: what
+	// this serving's preparation fast-forwarded, 0 when every interval
+	// start was restored from a checkpoint. Canonical zeroes it.
 	FFInsts       uint64 `json:"ff_insts"`
 	WarmInsts     uint64 `json:"warm_insts"`
 	MeasuredInsts uint64 `json:"measured_insts"`
@@ -108,14 +110,21 @@ func resultFromHarness(rq RunRequest, hr harness.Result) *Result {
 }
 
 // Canonical returns a shallow copy stripped of serving metadata — cache and
-// coalesce provenance, wall-clock latency, and the executing node — the only
-// fields that legitimately differ between two servings of the same
-// deterministic run. Byte-comparing canonical sweep outputs is how the
-// cluster smoke test asserts that a rerouted rerun is bit-identical to a
-// single-node run.
+// coalesce provenance, wall-clock latency, the executing node, and a sampled
+// run's Sampling.FFInsts (whether its checkpoints were fast-forwarded or
+// restored) — the only fields that legitimately differ between two servings
+// of the same deterministic run. Byte-comparing canonical sweep outputs is
+// how the cluster smoke test asserts that a rerouted rerun is bit-identical
+// to a single-node run. r itself, which the result cache may share, is not
+// modified.
 func (r *Result) Canonical() *Result {
 	c := *r
 	c.Cached, c.Coalesced, c.ElapsedMS, c.Node = false, false, 0, ""
+	if r.Sampling != nil {
+		sr := *r.Sampling
+		sr.FFInsts = 0
+		c.Sampling = &sr
+	}
 	return &c
 }
 

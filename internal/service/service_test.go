@@ -14,6 +14,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sfcmdt/internal/replay"
+	"sfcmdt/internal/snapshot"
 )
 
 // stubBackend is a controllable backend: every run signals started, then
@@ -463,6 +466,65 @@ func TestBadRequests(t *testing.T) {
 	}
 	if n := backend.runs.Load(); n != 0 {
 		t.Fatalf("bad requests reached the backend %d times", n)
+	}
+}
+
+// TestServePathIndependence serves one unsampled and one sampled request
+// through each path a node offers — cold, from the result cache, and on fresh
+// services that restore from the first one's checkpoint and stream stores —
+// and requires byte-identical canonical JSON from every serving. The paths
+// really differ: the cold sampled run fast-forwards, the restored one does
+// not, and the wire's ff_insts says so until Canonical strips it.
+func TestServePathIndependence(t *testing.T) {
+	t.Cleanup(trackGoroutines(t))
+	ctx := context.Background()
+	checkpoints, streams := snapshot.NewMemStore(), replay.NewMemStore()
+	plan := &SamplingSpec{FF: 1000, Warm: 200, Measure: 500, Intervals: 2}
+	reqs := []RunRequest{
+		{Workload: "gzip", Insts: 5_000},
+		{Workload: "gzip", Sampling: plan},
+	}
+	canonical := func(svc *Service, rq RunRequest, cached bool) (*Result, string) {
+		t.Helper()
+		res, err := svc.Do(ctx, rq, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached != cached {
+			t.Fatalf("%s: cached=%v, want %v", rq.Key(), res.Cached, cached)
+		}
+		b, err := json.Marshal(res.Canonical())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, string(b)
+	}
+
+	first := newReplayTestService(t, Config{Workers: 2, Checkpoints: checkpoints, Streams: streams})
+	want := make([]string, len(reqs))
+	for i, rq := range reqs {
+		var res *Result
+		res, want[i] = canonical(first, rq, false)
+		if rq.Sampling != nil && res.Sampling.FFInsts != plan.FF*uint64(plan.Intervals) {
+			t.Fatalf("cold sampled run fast-forwarded %d insts, want %d", res.Sampling.FFInsts, plan.FF*uint64(plan.Intervals))
+		}
+		if _, got := canonical(first, rq, true); got != want[i] {
+			t.Errorf("%s: cached serving differs:\n got  %s\n want %s", rq.Key(), got, want[i])
+		}
+	}
+
+	for i, rq := range reqs {
+		fresh := newReplayTestService(t, Config{Workers: 2, Checkpoints: checkpoints, Streams: streams})
+		res, got := canonical(fresh, rq, false)
+		if rq.Sampling != nil && res.Sampling.FFInsts != 0 {
+			t.Fatalf("restored sampled run fast-forwarded %d insts, want 0", res.Sampling.FFInsts)
+		}
+		if got != want[i] {
+			t.Errorf("%s: serving from the shared stores differs:\n got  %s\n want %s", rq.Key(), got, want[i])
+		}
+		if st := fresh.Stats(); rq.Sampling == nil && (st.ReplayStoreHits != 1 || st.ReplayMaterialized != 0) {
+			t.Errorf("fresh service: replay_store_hits=%d materialized=%d, want 1 and 0", st.ReplayStoreHits, st.ReplayMaterialized)
+		}
 	}
 }
 
