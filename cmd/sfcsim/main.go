@@ -60,7 +60,6 @@ func main() {
 	sParallel := flag.Int("sample-parallel", 0, "interval-level workers for sampled runs (0: all cores, 1: serial; results are bit-identical either way)")
 	ckptDir := flag.String("checkpoint-dir", "", "on-disk checkpoint store backing the fast-forward (default: none)")
 	replayDir := flag.String("replay-dir", "", "on-disk replay-stream store: the functional reference stream is loaded from (or saved to) DIR instead of re-traced per invocation")
-	noElide := flag.Bool("noelide", false, "step every cycle instead of eliding quiescent spans (oracle mode; bit-identical results except the elided-cycle count)")
 	jsonOut := flag.Bool("json", false, "emit the run as service.Result JSON (the sfcserve schema)")
 	list := flag.Bool("list", false, "list workloads and exit")
 	flag.Parse()
@@ -101,7 +100,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sfcsim: unknown config %q\n", *cfgName)
 		os.Exit(2)
 	}
-	cfg.NoElide = *noElide
 	fe := sim.Frontend{BPred: *bpredName, Prefetch: *prefetchName, Preprobe: *preprobe}
 	if err := fe.Apply(&cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "sfcsim: %v\n", err)

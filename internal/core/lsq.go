@@ -175,14 +175,10 @@ func (q *LSQ) ExecuteLoad(seq seqnum.Seq, addr uint64, size int, memRead MemRead
 // earliest conflicting load is returned as the flush point.
 func (q *LSQ) ExecuteStore(seq seqnum.Seq, addr uint64, size int, value uint64, memRead MemReader) (*Violation, error) {
 	q.StoreSearches++
-	st := q.findStore(seq)
-	if st == nil {
-		return nil, fmt.Errorf("core: LSQ ExecuteStore unknown seq %d", seq)
+	st, err := q.recordStore(seq, addr, size, value)
+	if err != nil {
+		return nil, err
 	}
-	st.executed = true
-	st.addr = addr
-	st.size = size
-	st.value = value & sizeMaskLSQ(size)
 
 	// Age-prioritized search of the load queue (loads are in program
 	// order, so the first conflicting entry is the earliest).
@@ -211,6 +207,20 @@ func (q *LSQ) ExecuteStore(seq seqnum.Seq, addr uint64, size int, value uint64, 
 		}, nil
 	}
 	return nil, nil
+}
+
+// recordStore fills in an executing store's queue entry: its address and
+// its value masked to size.
+func (q *LSQ) recordStore(seq seqnum.Seq, addr uint64, size int, value uint64) (*sqEntry, error) {
+	st := q.findStore(seq)
+	if st == nil {
+		return nil, fmt.Errorf("core: LSQ ExecuteStore unknown seq %d", seq)
+	}
+	st.executed = true
+	st.addr = addr
+	st.size = size
+	st.value = value & sizeMaskLSQ(size)
+	return st, nil
 }
 
 // RetireLoad removes the (head) load queue entry for seq.

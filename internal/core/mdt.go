@@ -263,16 +263,8 @@ func (m *MDT) AccessLoad(seq seqnum.Seq, pc, addr uint64, size int) MDTResult {
 			m.Conflicts++
 			return MDTResult{Conflict: true}
 		}
-		if !m.TrueOnly && e.storeValid && seqnum.Before(seq, e.storeSeq) {
-			m.AntiViols++
-			return MDTResult{Violation: &Violation{
-				Kind:         AntiViolation,
-				ProducerPC:   pc,
-				ProducerSeq:  seq,
-				ConsumerPC:   e.storePC,
-				ConsumerSeq:  e.storeSeq,
-				FlushFromSeq: seq,
-			}}
+		if v := m.antiViolation(e, seq, pc); v != nil {
+			return MDTResult{Violation: v}
 		}
 		if !e.loadValid || !seqnum.Before(seq, e.loadSeq) {
 			e.loadValid = true
@@ -291,16 +283,8 @@ func (m *MDT) AccessLoad(seq seqnum.Seq, pc, addr uint64, size int) MDTResult {
 			m.Conflicts++
 			return MDTResult{Conflict: true}
 		}
-		if !m.TrueOnly && e.storeValid && seqnum.Before(seq, e.storeSeq) {
-			m.AntiViols++
-			return MDTResult{Violation: &Violation{
-				Kind:         AntiViolation,
-				ProducerPC:   pc,
-				ProducerSeq:  seq,
-				ConsumerPC:   e.storePC,
-				ConsumerSeq:  e.storeSeq,
-				FlushFromSeq: seq, // flush the load and all subsequent
-			}}
+		if v := m.antiViolation(e, seq, pc); v != nil {
+			return MDTResult{Violation: v}
 		}
 	}
 	for g := first; g < first+n; g++ {
@@ -357,25 +341,52 @@ func (m *MDT) AccessStore(seq seqnum.Seq, pc, addr uint64, size int) MDTResult {
 	return MDTResult{}
 }
 
+// antiViolation checks a load (seq, pc) against one entry: unless TrueOnly,
+// a younger recorded store means the load may read that store's value. The
+// load itself is the flush point.
+func (m *MDT) antiViolation(e *mdtEntry, seq seqnum.Seq, pc uint64) *Violation {
+	if m.TrueOnly || !e.storeValid || !seqnum.Before(seq, e.storeSeq) {
+		return nil
+	}
+	m.AntiViols++
+	return &Violation{
+		Kind:         AntiViolation,
+		ProducerPC:   pc,
+		ProducerSeq:  seq,
+		ConsumerPC:   e.storePC,
+		ConsumerSeq:  e.storeSeq,
+		FlushFromSeq: seq, // flush the load and all subsequent
+	}
+}
+
+// trueViolation checks a store (seq, pc) against one entry: a younger
+// recorded load has already consumed a stale value.
+func (m *MDT) trueViolation(e *mdtEntry, seq seqnum.Seq, pc uint64) *Violation {
+	if !e.loadValid || !seqnum.Before(seq, e.loadSeq) {
+		return nil
+	}
+	m.TrueViols++
+	v := &Violation{
+		Kind:         TrueViolation,
+		ProducerPC:   pc,
+		ProducerSeq:  seq,
+		ConsumerPC:   e.loadPC,
+		ConsumerSeq:  e.loadSeq,
+		FlushFromSeq: seq + 1, // conservative: everything after the store
+	}
+	if m.SingleLoadOpt && e.completedLoads == 1 {
+		// §2.4.1: the buffered load is provably the only (hence
+		// earliest) conflicting load; flush from it instead.
+		v.FlushFromSeq = e.loadSeq
+	}
+	return v
+}
+
 // storeViolation performs a completing store's violation checks against one
 // entry: a true violation against a younger recorded load, then (unless
 // TrueOnly) an output violation against a younger recorded store.
 func (m *MDT) storeViolation(e *mdtEntry, seq seqnum.Seq, pc uint64) *Violation {
-	if e.loadValid && seqnum.Before(seq, e.loadSeq) {
-		m.TrueViols++
-		v := &Violation{
-			Kind:         TrueViolation,
-			ProducerPC:   pc,
-			ProducerSeq:  seq,
-			ConsumerPC:   e.loadPC,
-			ConsumerSeq:  e.loadSeq,
-			FlushFromSeq: seq + 1, // conservative: everything after the store
-		}
-		if m.SingleLoadOpt && e.completedLoads == 1 {
-			// §2.4.1: the buffered load is provably the only (hence
-			// earliest) conflicting load; flush from it instead.
-			v.FlushFromSeq = e.loadSeq
-		}
+	if v := m.trueViolation(e, seq, pc); v != nil {
 		return v
 	}
 	if !m.TrueOnly && e.storeValid && seqnum.Before(seq, e.storeSeq) {
@@ -405,19 +416,7 @@ func (m *MDT) CheckStoreAtHead(seq seqnum.Seq, pc, addr uint64, size int) *Viola
 		if e == nil {
 			continue
 		}
-		if e.loadValid && seqnum.Before(seq, e.loadSeq) {
-			m.TrueViols++
-			v := &Violation{
-				Kind:         TrueViolation,
-				ProducerPC:   pc,
-				ProducerSeq:  seq,
-				ConsumerPC:   e.loadPC,
-				ConsumerSeq:  e.loadSeq,
-				FlushFromSeq: seq + 1,
-			}
-			if m.SingleLoadOpt && e.completedLoads == 1 {
-				v.FlushFromSeq = e.loadSeq
-			}
+		if v := m.trueViolation(e, seq, pc); v != nil {
 			return v
 		}
 	}
@@ -438,16 +437,8 @@ func (m *MDT) CheckLoadAnti(seq seqnum.Seq, pc, addr uint64, size int) *Violatio
 		if e == nil {
 			continue
 		}
-		if e.storeValid && seqnum.Before(seq, e.storeSeq) {
-			m.AntiViols++
-			return &Violation{
-				Kind:         AntiViolation,
-				ProducerPC:   pc,
-				ProducerSeq:  seq,
-				ConsumerPC:   e.storePC,
-				ConsumerSeq:  e.storeSeq,
-				FlushFromSeq: seq,
-			}
+		if v := m.antiViolation(e, seq, pc); v != nil {
+			return v
 		}
 	}
 	return nil

@@ -138,16 +138,14 @@ func (s *MVSFC) lookup(word uint64, alloc bool) *mvEntry {
 	return free
 }
 
-// CanWrite reports whether a store to addr could allocate a version.
+// CanWrite reports whether a store to addr could allocate a version. The
+// word's own entry decides when it has one, wherever it sits in the set:
+// StoreWrite writes there and never into a free way.
 func (s *MVSFC) CanWrite(seq seqnum.Seq, addr uint64) bool {
 	word := addr >> 3
 	base := int(word&s.setMask) * s.cfg.Ways
 	for i := base; i < base+s.cfg.Ways; i++ {
-		e := &s.entries[i]
-		if !e.valid || s.reclaimable(e) {
-			return true
-		}
-		if e.tag == word {
+		if e := &s.entries[i]; e.valid && e.tag == word {
 			if len(e.versions) < s.cfg.Versions {
 				return true
 			}
@@ -158,6 +156,11 @@ func (s *MVSFC) CanWrite(seq seqnum.Seq, addr uint64) bool {
 				}
 			}
 			return false
+		}
+	}
+	for i := base; i < base+s.cfg.Ways; i++ {
+		if e := &s.entries[i]; !e.valid || s.reclaimable(e) {
+			return true
 		}
 	}
 	return false

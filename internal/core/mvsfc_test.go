@@ -81,6 +81,57 @@ func TestMVSFCVersionCapacity(t *testing.T) {
 	}
 }
 
+// TestMVSFCCanWriteFindsOwnEntry pins CanWrite to StoreWrite: a word whose
+// entry sits in a later way with every version live must conflict even when
+// an earlier way is free, because StoreWrite writes into the word's own
+// entry. The pipeline panics when CanWrite says yes and StoreWrite says no.
+func TestMVSFCCanWriteFindsOwnEntry(t *testing.T) {
+	s := newTestMVSFC(1, 2, 2)
+	if !s.StoreWrite(1, 0x100, 8, 1) || !s.StoreWrite(2, 0x200, 8, 2) || !s.StoreWrite(3, 0x200, 8, 3) {
+		t.Fatal("stores rejected below capacity")
+	}
+	s.RetireStore(1, 0x100) // way 0 is free; 0x200 keeps two live versions in way 1
+	if can, wrote := s.CanWrite(4, 0x200), s.StoreWrite(4, 0x200, 8, 4); can != wrote || wrote {
+		t.Fatalf("full entry in a later way: CanWrite %v, StoreWrite %v; want both false", can, wrote)
+	}
+
+	// Random stores, in-order retirement and squashes on a tiny cache:
+	// CanWrite must always predict StoreWrite.
+	r := rand.New(rand.NewSource(7))
+	s = newTestMVSFC(2, 2, 2)
+	type live struct {
+		seq  seqnum.Seq
+		addr uint64
+	}
+	var inflight []live
+	seq := seqnum.Seq(1)
+	for i := 0; i < 20000; i++ {
+		switch op := r.Intn(8); {
+		case op < 5:
+			addr := uint64(r.Intn(8)) * 8
+			can := s.CanWrite(seq, addr)
+			if wrote := s.StoreWrite(seq, addr, 8, uint64(seq)); can != wrote {
+				t.Fatalf("op %d: CanWrite(%d, %#x) = %v but StoreWrite = %v", i, seq, addr, can, wrote)
+			} else if wrote {
+				inflight = append(inflight, live{seq, addr})
+			}
+			seq++
+		case op < 7 && len(inflight) > 0:
+			s.RetireStore(inflight[0].seq, inflight[0].addr)
+			inflight = inflight[1:]
+		case len(inflight) > 0:
+			k := r.Intn(len(inflight))
+			s.SquashFrom(inflight[k].seq)
+			inflight = inflight[:k]
+		}
+		if len(inflight) > 0 {
+			s.SetBound(inflight[0].seq)
+		} else {
+			s.SetBound(seq)
+		}
+	}
+}
+
 func TestMVSFCSquashDeletesVersions(t *testing.T) {
 	s := newTestMVSFC(16, 2, 4)
 	s.StoreWrite(10, 0x40, 8, 0x1111)
@@ -178,7 +229,7 @@ func TestValueReplayCore(t *testing.T) {
 	if _, err := q.ExecuteLoad(2, 0x100, 8, memFromMap(mem)); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.ExecuteStore(1, 0x100, 8, 0xDEAD, memFromMap(mem)); err != nil {
+	if err := q.ExecuteStore(1, 0x100, 8, 0xDEAD); err != nil {
 		t.Fatal(err)
 	}
 	// The store retires and commits.
@@ -215,7 +266,7 @@ func TestValueReplayForwardingAndSquash(t *testing.T) {
 	q := NewValueReplay(LSQConfig{LoadEntries: 8, StoreEntries: 8})
 	q.DispatchStore(1, 0)
 	q.DispatchLoad(2, 0)
-	q.ExecuteStore(1, 0x100, 8, 0x77, memFromMap(mem))
+	q.ExecuteStore(1, 0x100, 8, 0x77)
 	res, err := q.ExecuteLoad(2, 0x100, 8, memFromMap(mem))
 	if err != nil || !res.Forwarded || res.Value != 0x77 {
 		t.Fatalf("forward: %+v %v", res, err)

@@ -65,7 +65,8 @@ func (q *LSQ) Reset() {
 // Reset restores the value-replay subsystem to its freshly-built state,
 // keeping the queue storage.
 func (q *ValueReplay) Reset() {
-	*q = ValueReplay{cfg: q.cfg, loads: q.loads[:0], stores: q.stores[:0]}
+	q.LSQ.Reset()
+	q.ReplayedLoads = 0
 }
 
 // ResetFor reinitializes the predictor for a new run when cfg (after

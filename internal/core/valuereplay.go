@@ -8,104 +8,33 @@ import (
 
 // ValueReplay implements the related-work baseline of Cain & Lipasti
 // ("Memory ordering: a value-based approach", ISCA-31), which the paper
-// discusses in §4: the associative load queue is eliminated entirely.
-// Loads forward from the store queue at execution as usual, but memory
-// disambiguation is deferred to retirement — every load re-reads the cache
-// when it retires (all older stores have committed by then) and compares
-// against the value it obtained at execution. A mismatch is a memory
-// ordering violation detected at the very end of the pipeline, which is
-// exactly why the paper argues that "disambiguating memory references at
-// completion is preferable" for large instruction windows: the recovery
-// penalty grows with the window.
+// discusses in §4: the LSQ with its associative load-queue search removed.
+// Loads forward from the store queue at execution exactly as in the LSQ,
+// and the load queue only tracks them in order, but memory disambiguation
+// is deferred to retirement — every load re-reads the cache when it retires
+// (all older stores have committed by then) and compares against the value
+// it obtained at execution. A mismatch is a memory ordering violation
+// detected at the very end of the pipeline, which is exactly why the paper
+// argues that "disambiguating memory references at completion is
+// preferable" for large instruction windows: the recovery penalty grows
+// with the window.
 type ValueReplay struct {
-	cfg    LSQConfig // LoadEntries bounds tracked loads; StoreEntries the SQ
-	loads  []lqEntry
-	stores []sqEntry
+	// LSQ keeps the entries, dispatch, forwarding, squash and store
+	// retirement. Its Violations count retirement-time mismatches.
+	LSQ
 
-	// Stats.
-	Forwards        uint64
-	PartialMerges   uint64
-	ReplayedLoads   uint64 // loads re-executed at retirement
-	Violations      uint64 // retirement-time mismatches
-	EntriesSearched uint64
-	DispatchStalls  uint64
+	ReplayedLoads uint64 // loads re-executed at retirement
 }
 
 // NewValueReplay builds the subsystem.
 func NewValueReplay(cfg LSQConfig) *ValueReplay {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &ValueReplay{cfg: cfg}
-}
-
-// Config returns the queue sizes.
-func (q *ValueReplay) Config() LSQConfig { return q.cfg }
-
-// Loads returns the number of tracked in-flight loads.
-func (q *ValueReplay) Loads() int { return len(q.loads) }
-
-// Stores returns the number of in-flight stores.
-func (q *ValueReplay) Stores() int { return len(q.stores) }
-
-// DispatchLoad allocates a (non-associative) load tracking slot.
-func (q *ValueReplay) DispatchLoad(seq seqnum.Seq, pc uint64) bool {
-	if len(q.loads) >= q.cfg.LoadEntries {
-		q.DispatchStalls++
-		return false
-	}
-	q.loads = append(q.loads, lqEntry{seq: seq, pc: pc})
-	return true
-}
-
-// DispatchStore allocates a store queue slot.
-func (q *ValueReplay) DispatchStore(seq seqnum.Seq, pc uint64) bool {
-	if len(q.stores) >= q.cfg.StoreEntries {
-		q.DispatchStalls++
-		return false
-	}
-	q.stores = append(q.stores, sqEntry{seq: seq, pc: pc})
-	return true
-}
-
-// ExecuteLoad forwards from the store queue (age-prioritized, byte
-// accurate) over committed memory, recording the obtained value for the
-// retirement-time check.
-func (q *ValueReplay) ExecuteLoad(seq seqnum.Seq, addr uint64, size int, memRead MemReader) (LoadResult, error) {
-	e := q.findLoad(seq)
-	if e == nil {
-		return LoadResult{}, fmt.Errorf("core: ValueReplay ExecuteLoad unknown seq %d", seq)
-	}
-	val, all, any := q.gather(seq, addr, size, memRead)
-	e.executed = true
-	e.addr = addr
-	e.size = size
-	e.value = val
-	if all {
-		q.Forwards++
-	} else if any {
-		q.PartialMerges++
-	}
-	return LoadResult{Value: val, Forwarded: all, Partial: any && !all}, nil
-}
-
-// gather mirrors LSQ.gather (shared entry layout and overlay helper).
-func (q *ValueReplay) gather(loadSeq seqnum.Seq, addr uint64, size int, memRead MemReader) (val uint64, allFromSQ, anyFromSQ bool) {
-	q.EntriesSearched += uint64(len(q.stores))
-	return gatherStores(q.stores, loadSeq, addr, size, memRead)
+	return &ValueReplay{LSQ: *NewLSQ(cfg)}
 }
 
 // ExecuteStore records the store; no load-queue search exists to perform.
-func (q *ValueReplay) ExecuteStore(seq seqnum.Seq, addr uint64, size int, value uint64, memRead MemReader) error {
-	st := q.findStore(seq)
-	if st == nil {
-		return fmt.Errorf("core: ValueReplay ExecuteStore unknown seq %d", seq)
-	}
-	st.executed = true
-	st.addr = addr
-	st.size = size
-	st.value = value & sizeMaskLSQ(size)
-	return nil
+func (q *ValueReplay) ExecuteStore(seq seqnum.Seq, addr uint64, size int, value uint64) error {
+	_, err := q.recordStore(seq, addr, size, value)
+	return err
 }
 
 // RetireLoad performs the retirement-time replay: re-read committed memory
@@ -134,51 +63,4 @@ func (q *ValueReplay) RetireLoad(seq seqnum.Seq, memRead MemReader) (*Violation,
 		ConsumerSeq:  ld.seq,
 		FlushFromSeq: ld.seq,
 	}, nil
-}
-
-// RetireStore pops the head store for commitment.
-func (q *ValueReplay) RetireStore(seq seqnum.Seq) (addr uint64, size int, value uint64, err error) {
-	if len(q.stores) == 0 || q.stores[0].seq != seq {
-		return 0, 0, 0, fmt.Errorf("core: ValueReplay RetireStore %d not at head", seq)
-	}
-	h := q.stores[0]
-	if !h.executed {
-		return 0, 0, 0, fmt.Errorf("core: ValueReplay RetireStore %d not executed", seq)
-	}
-	q.stores = q.stores[:copy(q.stores, q.stores[1:])]
-	return h.addr, h.size, h.value, nil
-}
-
-// SquashFrom removes all entries with sequence number >= from.
-func (q *ValueReplay) SquashFrom(from seqnum.Seq) {
-	for i, e := range q.loads {
-		if !seqnum.Before(e.seq, from) {
-			q.loads = q.loads[:i]
-			break
-		}
-	}
-	for i, e := range q.stores {
-		if !seqnum.Before(e.seq, from) {
-			q.stores = q.stores[:i]
-			break
-		}
-	}
-}
-
-func (q *ValueReplay) findLoad(seq seqnum.Seq) *lqEntry {
-	for i := range q.loads {
-		if q.loads[i].seq == seq {
-			return &q.loads[i]
-		}
-	}
-	return nil
-}
-
-func (q *ValueReplay) findStore(seq seqnum.Seq) *sqEntry {
-	for i := range q.stores {
-		if q.stores[i].seq == seq {
-			return &q.stores[i]
-		}
-	}
-	return nil
 }

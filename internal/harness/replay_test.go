@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"sfcmdt/internal/arch"
+	"sfcmdt/internal/blob"
 	"sfcmdt/internal/pipeline"
 	"sfcmdt/internal/replay"
 	"sfcmdt/internal/sample"
@@ -65,7 +67,7 @@ func TestSweepMaterializesOncePerWorkload(t *testing.T) {
 		BaselineConfig(LSQ48x32, 3_000),
 		BaselineConfig(ValueReplay120x80, 3_000),
 	}
-	cs := &replay.CountingStore{Inner: replay.NewMemStore()}
+	cs := &countingStore[replay.Key, *replay.Stream]{inner: replay.NewMemStore()}
 	r := NewRunner(3_000)
 	r.Replay = replay.NewCache(cs)
 	if _, err := r.RunMatrix(ws, cfgs); err != nil {
@@ -84,27 +86,38 @@ func TestSweepMaterializesOncePerWorkload(t *testing.T) {
 	}
 }
 
-// countingSnapStore counts snapshot-store probes (the sampled-mode analogue
-// of replay.CountingStore).
-type countingSnapStore struct {
-	inner snapshot.Store
-	mu    sync.Mutex
-	gets  int
+// countingStore counts the probes and writes a sweep makes to a stream or
+// checkpoint store.
+type countingStore[K fmt.Stringer, V any] struct {
+	inner      *blob.Typed[K, V]
+	mu         sync.Mutex
+	gets, puts int
 }
 
-func (c *countingSnapStore) Get(k snapshot.Key) (*snapshot.State, bool, error) {
+func (c *countingStore[K, V]) Get(k K) (V, bool, error) {
 	c.mu.Lock()
 	c.gets++
 	c.mu.Unlock()
 	return c.inner.Get(k)
 }
 
-func (c *countingSnapStore) Put(k snapshot.Key, s *snapshot.State) error { return c.inner.Put(k, s) }
+func (c *countingStore[K, V]) Put(k K, v V) error {
+	c.mu.Lock()
+	c.puts++
+	c.mu.Unlock()
+	return c.inner.Put(k, v)
+}
 
-func (c *countingSnapStore) Gets() int {
+func (c *countingStore[K, V]) Gets() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.gets
+}
+
+func (c *countingStore[K, V]) Puts() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.puts
 }
 
 // TestSampledSweepProbesCheckpointsOncePerWorkload pins the sampled-mode half
@@ -119,7 +132,7 @@ func TestSampledSweepProbesCheckpointsOncePerWorkload(t *testing.T) {
 		BaselineConfig(ValueReplay120x80, 0),
 	}
 	plan := sample.Plan{FastForward: 2_000, Warm: 200, Measure: 300, Intervals: 3}
-	cs := &countingSnapStore{inner: snapshot.NewMemStore()}
+	cs := &countingStore[snapshot.Key, *snapshot.State]{inner: snapshot.NewMemStore()}
 	r := NewRunner(0)
 	r.Sampling = &plan
 	r.Checkpoints = cs

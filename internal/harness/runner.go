@@ -56,7 +56,6 @@ type sampMaterial struct {
 // per run.
 type Runner struct {
 	MaxInsts uint64
-	Quiet    bool
 	// Progress, when non-nil, receives a line per completed run. RunAll
 	// fans runs out across worker goroutines, so the callback is invoked
 	// from many goroutines; the runner serializes calls under an internal
@@ -112,7 +111,7 @@ func NewRunner(maxInsts uint64) *Runner {
 }
 
 func (r *Runner) progress(format string, args ...any) {
-	if r.Progress != nil && !r.Quiet {
+	if r.Progress != nil {
 		r.progMu.Lock()
 		r.Progress(format, args...)
 		r.progMu.Unlock()

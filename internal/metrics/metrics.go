@@ -10,9 +10,10 @@ import "fmt"
 type Stats struct {
 	// Progress. CyclesElided counts the subset of Cycles the run loop
 	// skipped in closed form because the machine was provably quiescent
-	// (idle-cycle elision); it is always zero under Config.NoElide and is
-	// a property of the simulator, not the simulated machine — every other
-	// counter is bit-identical with elision on or off.
+	// (idle-cycle elision); it is always zero when the pipeline steps every
+	// cycle (its elision oracle) and is a property of the simulator, not the
+	// simulated machine — every other counter is bit-identical with elision
+	// on or off.
 	Cycles        uint64
 	CyclesElided  uint64
 	Retired       uint64

@@ -130,12 +130,12 @@ type Config struct {
 	MaxInsts  uint64 // dynamic correct-path instruction budget
 	MaxCycles uint64 // deadlock guard; 0 = derived from MaxInsts
 
-	// NoElide disables idle-cycle elision: the run loop steps every cycle
-	// individually instead of jumping over provably quiescent spans. Kept
-	// as the oracle for the elision differential test (TestElideEquivalence).
-	// Stats are bit-identical either way, except that Stats.CyclesElided
-	// stays zero here.
-	NoElide bool
+	// noElide disables idle-cycle elision: the run loop steps every cycle
+	// individually instead of jumping over provably quiescent spans. It is
+	// the oracle the package's elision differential tests set
+	// (TestElideEquivalence). Stats are bit-identical either way, except
+	// that Stats.CyclesElided stays zero here.
+	noElide bool
 
 	// linearScan selects the retired O(window) issue loop that re-scans the
 	// whole ROB every cycle instead of the wakeup-driven ready bitset. The

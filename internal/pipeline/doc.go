@@ -48,6 +48,23 @@
 //     MDT/SFC fossil-reclamation bound (the oldest in-flight sequence
 //     number).
 //
+// # Memory subsystems
+//
+// Four memory subsystems plug in behind one interface, memSystem, and each
+// §4 comparator is the paper's structure plus or minus one search:
+//
+//   - lsqSystem hosts the idealized LSQ baseline (core.LSQ).
+//   - valueReplaySystem embeds lsqSystem, bound to the LSQ that
+//     core.ValueReplay embeds: the LSQ without its load-queue search. It
+//     overrides only executeStore (record the store, search nothing),
+//     preRetireLoad (the retirement-time re-read) and retireLoad.
+//   - mdtSFCSystem (the paper's design) and mvSFCSystem (the multi-version
+//     alternative) embed one MDT + store-FIFO half, mdtFIFO. The half owns
+//     dispatch, the ROB-head load and store bypass (§2.2), load retirement
+//     and the SFC's full/partial/miss forwarding outcome; each system adds
+//     its own SFC's conflict, corruption, reclamation-bound and
+//     store-retirement code.
+//
 // # Correct-path tracking and wrong-path execution
 //
 // The reference stream (a replay view, or the golden trace it is pinned to)

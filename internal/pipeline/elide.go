@@ -10,7 +10,7 @@ package pipeline
 // stages plus stats. Here step() is followed by tryElide(), which proves
 // that *nothing observable can happen* until some future cycle and jumps
 // the clock there, folding the per-cycle counters in closed form. The
-// stepped loop is retained as the Config.NoElide oracle and the two are
+// stepped loop is retained as the Config.noElide oracle and the two are
 // pinned bit-identical by TestElideEquivalence.
 //
 // The safety argument, stage by stage (the order mirrors step()):
@@ -68,7 +68,7 @@ const (
 // it is the wakeup scheduler's oracle and stays on the stepped loop, whose
 // behaviour it was differentially tested against.
 func (p *Pipeline) elides() bool {
-	return !p.cfg.NoElide && !p.cfg.linearScan
+	return !p.cfg.noElide && !p.cfg.linearScan
 }
 
 // quiesce reports whether the upcoming cycle (p.cycle) is quiescent: every

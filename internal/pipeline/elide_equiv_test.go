@@ -6,13 +6,18 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"sfcmdt/internal/arch"
+	"sfcmdt/internal/metrics"
+	"sfcmdt/internal/replay"
+	"sfcmdt/internal/workload"
 )
 
 // TestElideEquivalence pins idle-cycle elision to the stepped oracle the
 // same way TestSchedulerEquivalence pins the wakeup scheduler to the linear
 // scan: across ~200 random programs and every equivalence configuration
-// (MDT/SFC pairwise and total-order, LSQ, value replay), a run with
-// Config.NoElide must produce identical statistics to the eliding default —
+// (all four memory subsystems; see schedEquivConfigs), a run with
+// Config.noElide must produce identical statistics to the eliding default —
 // every counter in metrics.Stats except CyclesElided itself, which is a
 // property of the run loop, not the simulated machine. Any divergence means
 // the quiescence predicate skipped a cycle on which a stage could have
@@ -28,7 +33,7 @@ func TestElideEquivalence(t *testing.T) {
 		img := randomProgram(r, fmt.Sprintf("el%d", seed))
 		for _, cfg := range schedEquivConfigs() {
 			oracleCfg := cfg
-			oracleCfg.NoElide = true
+			oracleCfg.noElide = true
 			oracle, err := New(oracleCfg, img)
 			if err != nil {
 				t.Fatalf("seed %d %s noelide: %v", seed, cfg.Name, err)
@@ -38,7 +43,7 @@ func TestElideEquivalence(t *testing.T) {
 				t.Fatalf("seed %d %s noelide: %v", seed, cfg.Name, err)
 			}
 			if want.CyclesElided != 0 {
-				t.Fatalf("seed %d %s: NoElide oracle elided %d cycles", seed, cfg.Name, want.CyclesElided)
+				t.Fatalf("seed %d %s: noElide oracle elided %d cycles", seed, cfg.Name, want.CyclesElided)
 			}
 			eliding, err := New(cfg, img)
 			if err != nil {
@@ -72,7 +77,7 @@ func TestElideEquivalencePtrChase(t *testing.T) {
 	for _, cfg := range testConfigs(insts) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			oracleCfg := cfg
-			oracleCfg.NoElide = true
+			oracleCfg.noElide = true
 			oracle := buildWorkloadPipeline(t, "ptrchase", oracleCfg, insts)
 			want, err := oracle.Run()
 			if err != nil {
@@ -107,7 +112,7 @@ func TestElideWatchdogEquivalence(t *testing.T) {
 	cfg.MaxCycles = 5_000 // well inside the chase: trips mid-run
 
 	oracleCfg := cfg
-	oracleCfg.NoElide = true
+	oracleCfg.noElide = true
 	oracle := buildWorkloadPipeline(t, "ptrchase", oracleCfg, 40_000)
 	want, wantErr := oracle.Run()
 	if wantErr == nil {
@@ -177,7 +182,7 @@ func TestElideResetReuse(t *testing.T) {
 	img := randomProgram(r, "elreuse")
 	cfg := schedEquivConfigs()[0]
 	noElideCfg := cfg
-	noElideCfg.NoElide = true
+	noElideCfg.noElide = true
 
 	p, err := New(noElideCfg, img)
 	if err != nil {
@@ -199,13 +204,97 @@ func TestElideResetReuse(t *testing.T) {
 			}
 			got, err := p.Run()
 			if err != nil {
-				t.Fatalf("round %d %s noelide=%v: %v", i, c.Name, c.NoElide, err)
+				t.Fatalf("round %d %s noelide=%v: %v", i, c.Name, c.noElide, err)
 			}
 			got.CyclesElided = 0
 			if *got != ref {
 				t.Fatalf("round %d %s noelide=%v: stats diverged after reset reuse\nwant: %+v\ngot:  %+v",
-					i, c.Name, c.NoElide, ref, *got)
+					i, c.Name, c.noElide, ref, *got)
 			}
+		}
+	}
+}
+
+// TestElideSampledEquivalence pins idle-cycle elision on sampled intervals,
+// driven the way the sample package drives the pipeline: each interval
+// starts from a fast-forwarded architectural state on a replay stream
+// materialized from it, on one pipeline built by NewFrom and recycled by
+// ResetFrom, warms with RunUntilRetired and measures with RunContext.
+// Against the stepped oracle, the statistics at the warm-up boundary and at
+// the end of every interval must match exactly — elision changes how the
+// clock advances, never what an interval measures; CyclesElided, a run-loop
+// property, is the one field normalized. The pointer chase makes elided
+// spans dominate; gzip covers the mostly-busy case where spans are rare.
+// sample.TestParallelSerialBitIdentical covers interval-parallel runs.
+func TestElideSampledEquivalence(t *testing.T) {
+	const ff, warm, measure, intervals = 2_000, 300, 700, 6
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, name := range []string{"ptrchase", "gzip"} {
+		w, ok := workload.Get(name)
+		if !ok {
+			t.Fatalf("workload %q not registered", name)
+		}
+		img := w.Build()
+		for _, cfg := range testConfigs(0) {
+			t.Run(name+"/"+cfg.Name, func(t *testing.T) {
+				oracleCfg := cfg
+				oracleCfg.noElide = true
+				m := arch.New(img)
+				var pipes [2]*Pipeline // stepped oracle, eliding
+				var elided uint64
+				for k := 0; k < intervals; k++ {
+					for target := m.Count + ff; m.Count < target && !m.Halted; {
+						if _, err := m.Step(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					st := &StartState{Regs: m.Regs, PC: m.PC, Mem: m.Mem.Clone()}
+					s, err := replay.MaterializeFrom(m, warm+measure)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m.Halted {
+						t.Fatalf("%s halted in interval %d", name, k)
+					}
+					var warmed, final [2]metrics.Stats
+					for i, c := range []Config{oracleCfg, cfg} {
+						if pipes[i] == nil {
+							pipes[i], err = NewFrom(c, img, s.All(), st)
+						} else {
+							err = pipes[i].ResetFrom(c, img, s.All(), st)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						ws, err := pipes[i].RunUntilRetired(ctx, warm)
+						if err != nil {
+							t.Fatalf("interval %d noelide=%v warm: %v", k, c.noElide, err)
+						}
+						warmed[i] = *ws
+						fs, err := pipes[i].RunContext(ctx)
+						if err != nil {
+							t.Fatalf("interval %d noelide=%v: %v", k, c.noElide, err)
+						}
+						final[i] = *fs
+					}
+					if final[0].Retired != warm+measure || final[0].CyclesElided != 0 {
+						t.Fatalf("interval %d: stepped oracle retired %d (want %d) and elided %d cycles",
+							k, final[0].Retired, warm+measure, final[0].CyclesElided)
+					}
+					elided += final[1].CyclesElided
+					warmed[1].CyclesElided, final[1].CyclesElided = 0, 0
+					if warmed[1] != warmed[0] {
+						t.Errorf("interval %d: stats at the warm-up boundary diverged\nstepped: %+v\nelided:  %+v", k, warmed[0], warmed[1])
+					}
+					if final[1] != final[0] {
+						t.Errorf("interval %d: measured stats diverged\nstepped: %+v\nelided:  %+v", k, final[0], final[1])
+					}
+				}
+				if name == "ptrchase" && elided == 0 {
+					t.Fatal("sampled pointer chase elided nothing")
+				}
+			})
 		}
 	}
 }

@@ -26,7 +26,7 @@ type memOutcome struct {
 	forwarded bool // value (fully) bypassed from an in-flight store
 }
 
-// memSystem abstracts the two memory subsystems the pipeline can host.
+// memSystem abstracts the memory subsystems the pipeline can host.
 type memSystem interface {
 	// canDispatch* report whether buffering resources are available;
 	// dispatch* commit the allocation (must succeed after a true can*).
@@ -70,35 +70,123 @@ type memSystem interface {
 }
 
 // ---------------------------------------------------------------------------
-// MDT + SFC + store FIFO memory subsystem (the paper's design).
+// MDT + store FIFO: the half the paper's design and its multi-version
+// alternative share. It owns dispatch (store-FIFO slots; loads need none),
+// the ROB-head bypass (§2.2), load retirement and the SFC's forwarding
+// outcome. Each embedding system adds its own SFC.
 
-type mdtSFCSystem struct {
+type mdtFIFO struct {
 	p    *Pipeline
 	mdt  *core.MDT
-	sfc  *core.SFC
 	fifo *core.StoreFIFO
 }
 
-func newMDTSFCSystem(p *Pipeline) *mdtSFCSystem {
-	mdt := core.NewMDT(p.cfg.MDT)
-	mdt.SingleLoadOpt = p.cfg.Recovery.SingleLoadOpt
-	return &mdtSFCSystem{
-		p:    p,
-		mdt:  mdt,
-		sfc:  core.NewSFC(p.cfg.SFC),
-		fifo: core.NewStoreFIFO(p.cfg.StoreFIFOCap),
-	}
+func newMDTFIFO(p *Pipeline, trueOnly bool) mdtFIFO {
+	m := mdtFIFO{p: p, mdt: core.NewMDT(p.cfg.MDT), fifo: core.NewStoreFIFO(p.cfg.StoreFIFOCap)}
+	m.mdt.TrueOnly = trueOnly
+	m.mdt.SingleLoadOpt = p.cfg.Recovery.SingleLoadOpt
+	return m
 }
 
-func (m *mdtSFCSystem) canDispatchLoad() bool  { return true }
-func (m *mdtSFCSystem) canDispatchStore() bool { return m.fifo.Len() < m.fifo.Cap() }
+// reset readies the half for a run of p, keeping its allocations, and
+// reports false when its geometry no longer matches p's configuration. The
+// MDT keeps the TrueOnly policy it was built with.
+func (m *mdtFIFO) reset(p *Pipeline) bool {
+	if m.mdt.Config() != p.cfg.MDT || m.fifo.Cap() != p.cfg.StoreFIFOCap {
+		return false
+	}
+	m.p = p
+	m.mdt.Reset()
+	m.mdt.SingleLoadOpt = p.cfg.Recovery.SingleLoadOpt
+	m.fifo.Reset()
+	return true
+}
 
-func (m *mdtSFCSystem) dispatchLoad(seq seqnum.Seq, pc uint64) {}
+func (m *mdtFIFO) canDispatchLoad() bool  { return true }
+func (m *mdtFIFO) canDispatchStore() bool { return m.fifo.Len() < m.fifo.Cap() }
 
-func (m *mdtSFCSystem) dispatchStore(seq seqnum.Seq, pc uint64) {
+func (m *mdtFIFO) dispatchLoad(seq seqnum.Seq, pc uint64) {}
+
+func (m *mdtFIFO) dispatchStore(seq seqnum.Seq, pc uint64) {
 	if !m.fifo.Dispatch(seq) {
 		panic("pipeline: store FIFO dispatch after canDispatchStore")
 	}
+}
+
+// bypassLoad executes a load at the ROB head (§2.2): all older stores have
+// retired and committed, so the cache-memory hierarchy is authoritative.
+func (m *mdtFIFO) bypassLoad(e *entry) memOutcome {
+	m.p.stats.HeadBypassLoads++
+	return m.forward(e, core.SFCReadResult{Status: core.SFCMiss})
+}
+
+// bypassStore executes a store at the ROB head.
+func (m *mdtFIFO) bypassStore(e *entry) memOutcome {
+	p := m.p
+	p.stats.HeadBypassStores++
+	m.fifo.Execute(e.seq, e.memAddr, e.memSize, e.memVal)
+	// The bypassing store's bytes are nowhere in the SFC, so commit them to
+	// memory immediately: the store is the oldest in-flight instruction,
+	// can no longer be squashed, and retires as soon as it completes, so
+	// younger loads reading memory observe it correctly. (Retirement
+	// rewrites the same bytes, harmlessly.)
+	p.memory.WriteUint(e.memAddr, e.memSize, e.memVal)
+	// It must still check for younger loads that executed too early with a
+	// stale value (read-only MDT probe).
+	return memOutcome{latency: p.cfg.AGULat, violation: m.mdt.CheckStoreAtHead(e.seq, e.pc, e.memAddr, e.memSize)}
+}
+
+// forward completes a load from its SFC read: a full match forwards, a
+// partial one merges the missing bytes from the cache hierarchy, and a miss
+// reads the hierarchy.
+func (m *mdtFIFO) forward(e *entry, sres core.SFCReadResult) memOutcome {
+	p := m.p
+	switch sres.Status {
+	case core.SFCFull:
+		// The SFC is accessed in parallel with the L1, so data is
+		// available at L1-hit time regardless of cache state.
+		p.demandLoadLatency(e.pc, e.memAddr) // keep cache tag state warm
+		p.stats.SFCForwards++
+		return memOutcome{value: sres.Word, latency: p.cfg.AGULat + p.hier.Config().L1HitCycles, forwarded: true}
+	case core.SFCPartial:
+		// One word read, one masked merge.
+		lat := p.cfg.AGULat + p.demandLoadLatency(e.pc, e.memAddr)
+		memv := p.memory.ReadUint(e.memAddr, e.memSize)
+		p.stats.SFCPartialMerges++
+		return memOutcome{value: sres.Word | memv&^core.ExpandByteMask(sres.ValidMask), latency: lat}
+	default: // SFCMiss
+		lat := p.cfg.AGULat + p.demandLoadLatency(e.pc, e.memAddr)
+		return memOutcome{value: p.memory.ReadUint(e.memAddr, e.memSize), latency: lat}
+	}
+}
+
+// Only the MDT's way memo is warmed here; the multi-version SFC keys its
+// versions by sequence number, which is unknown at dispatch.
+func (m *mdtFIFO) preprobe(addr uint64) bool { return m.mdt.Preprobe(addr) }
+
+func (m *mdtFIFO) preRetireLoad(e *entry) *core.Violation { return nil }
+
+func (m *mdtFIFO) retireLoad(e *entry) bool {
+	return m.mdt.RetireLoad(e.seq, e.memAddr, e.memSize)
+}
+
+// The MDT ignores partial flushes (§2.2).
+func (m *mdtFIFO) squashFrom(from seqnum.Seq) { m.fifo.SquashFrom(from) }
+
+// Only the single-version SFC reacts to partial flushes; mdtSFCSystem
+// overrides this.
+func (m *mdtFIFO) onPartialFlush(seqnum.Seq, seqnum.Seq, bool, int) {}
+
+// ---------------------------------------------------------------------------
+// MDT + SFC + store FIFO memory subsystem (the paper's design).
+
+type mdtSFCSystem struct {
+	mdtFIFO
+	sfc *core.SFC
+}
+
+func newMDTSFCSystem(p *Pipeline) *mdtSFCSystem {
+	return &mdtSFCSystem{mdtFIFO: newMDTFIFO(p, false), sfc: core.NewSFC(p.cfg.SFC)}
 }
 
 // setBound advances the MDT/SFC reclamation bound to the oldest in-flight
@@ -109,14 +197,10 @@ func (m *mdtSFCSystem) setBound(oldest seqnum.Seq) {
 }
 
 func (m *mdtSFCSystem) executeLoad(e *entry, head bool) memOutcome {
-	p := m.p
 	if head {
-		// ROB-head bypass (§2.2): all older stores have retired and
-		// committed, so the cache-memory hierarchy is authoritative.
-		p.stats.HeadBypassLoads++
-		lat := p.cfg.AGULat + p.demandLoadLatency(e.pc, e.memAddr)
-		return memOutcome{value: p.memory.ReadUint(e.memAddr, e.memSize), latency: lat}
+		return m.bypassLoad(e)
 	}
+	p := m.p
 	// §4 search filtering (store-vulnerability-window test): if every
 	// older store has already executed, no later-completing older store
 	// can flag this load, so it need not occupy an MDT entry. Anti
@@ -129,65 +213,38 @@ func (m *mdtSFCSystem) executeLoad(e *entry, head bool) memOutcome {
 			p.stats.SVWFiltered++
 		}
 	}
+	var anti *core.Violation
 	if filtered {
-		if v := m.mdt.CheckLoadAnti(e.seq, e.pc, e.memAddr, e.memSize); v != nil {
-			return memOutcome{violation: v, latency: p.cfg.AGULat + p.cfg.IntLat}
-		}
+		anti = m.mdt.CheckLoadAnti(e.seq, e.pc, e.memAddr, e.memSize)
 	} else {
 		res := m.mdt.AccessLoad(e.seq, e.pc, e.memAddr, e.memSize)
 		if res.Conflict {
 			return memOutcome{replay: true, cause: replayMDTConflict}
 		}
-		if res.Violation != nil {
-			// Anti-dependence violation: the load itself will be flushed;
-			// no value matters.
-			return memOutcome{violation: res.Violation, latency: p.cfg.AGULat + p.cfg.IntLat}
-		}
+		anti = res.Violation
+	}
+	if anti != nil {
+		// Anti-dependence violation: the load itself will be flushed; no
+		// value matters.
+		return memOutcome{violation: anti, latency: p.cfg.AGULat + p.cfg.IntLat}
 	}
 	sres := m.sfc.LoadRead(e.memAddr, e.memSize)
-	switch sres.Status {
-	case core.SFCCorrupt:
+	switch {
+	case sres.Status == core.SFCCorrupt:
 		m.mdt.LoadDropped(e.seq, e.memAddr, e.memSize)
 		return memOutcome{replay: true, cause: replayCorrupt}
-	case core.SFCPartial:
-		if p.cfg.ReplayOnPartial {
-			m.mdt.LoadDropped(e.seq, e.memAddr, e.memSize)
-			return memOutcome{replay: true, cause: replayPartial}
-		}
-		// Merge the missing bytes from the cache hierarchy: one word read,
-		// one masked merge.
-		lat := p.cfg.AGULat + p.demandLoadLatency(e.pc, e.memAddr)
-		memv := p.memory.ReadUint(e.memAddr, e.memSize)
-		v := sres.Word | memv&^core.ExpandByteMask(sres.ValidMask)
-		p.stats.SFCPartialMerges++
-		return memOutcome{value: v, latency: lat}
-	case core.SFCFull:
-		// Forwarded from the SFC; accessed in parallel with the L1, so
-		// data is available at L1-hit time regardless of cache state.
-		p.demandLoadLatency(e.pc, e.memAddr) // keep cache tag state warm
-		p.stats.SFCForwards++
-		return memOutcome{value: sres.Word, latency: p.cfg.AGULat + p.hier.Config().L1HitCycles, forwarded: true}
-	default: // SFCMiss
-		lat := p.cfg.AGULat + p.demandLoadLatency(e.pc, e.memAddr)
-		return memOutcome{value: p.memory.ReadUint(e.memAddr, e.memSize), latency: lat}
+	case sres.Status == core.SFCPartial && p.cfg.ReplayOnPartial:
+		m.mdt.LoadDropped(e.seq, e.memAddr, e.memSize)
+		return memOutcome{replay: true, cause: replayPartial}
 	}
+	return m.forward(e, sres)
 }
 
 func (m *mdtSFCSystem) executeStore(e *entry, head bool) memOutcome {
-	p := m.p
 	if head {
-		p.stats.HeadBypassStores++
-		m.fifo.Execute(e.seq, e.memAddr, e.memSize, e.memVal)
-		// The bypassing store's bytes are nowhere in the SFC, so commit
-		// them to memory immediately: the store is the oldest in-flight
-		// instruction, can no longer be squashed, and retires as soon as
-		// it completes, so younger loads reading memory observe it
-		// correctly. (Retirement rewrites the same bytes, harmlessly.)
-		p.memory.WriteUint(e.memAddr, e.memSize, e.memVal)
-		// It must still check for younger loads that executed too early
-		// with a stale value (read-only MDT probe).
-		return memOutcome{latency: p.cfg.AGULat, violation: m.mdt.CheckStoreAtHead(e.seq, e.pc, e.memAddr, e.memSize)}
+		return m.bypassStore(e)
 	}
+	p := m.p
 	// Probe the SFC first so a set conflict drops the store before the MDT
 	// is updated.
 	if !m.sfc.CanWrite(e.memAddr) {
@@ -222,16 +279,10 @@ func (m *mdtSFCSystem) executeStore(e *entry, head bool) memOutcome {
 
 func (m *mdtSFCSystem) preprobe(addr uint64) bool {
 	hit := m.sfc.Preprobe(addr)
-	if m.mdt.Preprobe(addr) {
+	if m.mdtFIFO.preprobe(addr) {
 		hit = true
 	}
 	return hit
-}
-
-func (m *mdtSFCSystem) preRetireLoad(e *entry) *core.Violation { return nil }
-
-func (m *mdtSFCSystem) retireLoad(e *entry) bool {
-	return m.mdt.RetireLoad(e.seq, e.memAddr, e.memSize)
 }
 
 func (m *mdtSFCSystem) retireStore(e *entry) (uint64, int, uint64, bool, error) {
@@ -244,12 +295,6 @@ func (m *mdtSFCSystem) retireStore(e *entry) (uint64, int, uint64, bool, error) 
 		freed = true
 	}
 	return addr, size, val, freed, nil
-}
-
-func (m *mdtSFCSystem) squashFrom(from seqnum.Seq) {
-	m.fifo.SquashFrom(from)
-	// The MDT ignores partial flushes (§2.2); the SFC handles them in
-	// onPartialFlush.
 }
 
 func (m *mdtSFCSystem) onPartialFlush(lo, hi seqnum.Seq, canceledSFCStore bool, liveSFCStores int) {
@@ -350,71 +395,27 @@ func (m *lsqSystem) squashFrom(from seqnum.Seq) { m.lsq.SquashFrom(from) }
 func (m *lsqSystem) onPartialFlush(seqnum.Seq, seqnum.Seq, bool, int) {}
 
 // ---------------------------------------------------------------------------
-// Value-replay memory subsystem (§4 related work, Cain & Lipasti): forwarding
-// through an associative store queue, disambiguation by re-executing every
-// load at retirement.
+// Value-replay memory subsystem (§4 related work, Cain & Lipasti): the LSQ
+// without its load-queue search. Stores record themselves and search
+// nothing; disambiguation re-executes every load at retirement.
 
 type valueReplaySystem struct {
-	p  *Pipeline
-	vr *core.ValueReplay
+	lsqSystem // bound to vr's embedded LSQ
+	vr        *core.ValueReplay
 }
 
 func newValueReplaySystem(p *Pipeline) *valueReplaySystem {
-	return &valueReplaySystem{p: p, vr: core.NewValueReplay(p.cfg.LSQ)}
-}
-
-func (m *valueReplaySystem) canDispatchLoad() bool {
-	return m.vr.Loads() < m.vr.Config().LoadEntries
-}
-func (m *valueReplaySystem) canDispatchStore() bool {
-	return m.vr.Stores() < m.vr.Config().StoreEntries
-}
-
-func (m *valueReplaySystem) dispatchLoad(seq seqnum.Seq, pc uint64) {
-	if !m.vr.DispatchLoad(seq, pc) {
-		panic("pipeline: value-replay load dispatch after canDispatchLoad")
-	}
-}
-
-func (m *valueReplaySystem) dispatchStore(seq seqnum.Seq, pc uint64) {
-	if !m.vr.DispatchStore(seq, pc) {
-		panic("pipeline: value-replay store dispatch after canDispatchStore")
-	}
-}
-
-func (m *valueReplaySystem) memRead(addr uint64, size int) uint64 {
-	return m.p.memory.ReadUint(addr, size)
-}
-
-func (m *valueReplaySystem) executeLoad(e *entry, head bool) memOutcome {
-	p := m.p
-	res, err := m.vr.ExecuteLoad(e.seq, e.memAddr, e.memSize, m.memRead)
-	if err != nil {
-		p.fail(err)
-		return memOutcome{}
-	}
-	lat := p.cfg.AGULat
-	if res.Forwarded {
-		lat += p.cfg.BypassLat
-		p.stats.LSQForwards++
-	} else {
-		lat += p.demandLoadLatency(e.pc, e.memAddr)
-		if res.Partial {
-			p.stats.LSQPartialMerges++
-		}
-	}
-	return memOutcome{value: res.Value, latency: lat, forwarded: res.Forwarded}
+	vr := core.NewValueReplay(p.cfg.LSQ)
+	return &valueReplaySystem{lsqSystem: lsqSystem{p: p, lsq: &vr.LSQ}, vr: vr}
 }
 
 func (m *valueReplaySystem) executeStore(e *entry, head bool) memOutcome {
-	if err := m.vr.ExecuteStore(e.seq, e.memAddr, e.memSize, e.memVal, m.memRead); err != nil {
+	if err := m.vr.ExecuteStore(e.seq, e.memAddr, e.memSize, e.memVal); err != nil {
 		m.p.fail(err)
 		return memOutcome{}
 	}
 	return memOutcome{latency: m.p.cfg.AGULat}
 }
-
-func (m *valueReplaySystem) preprobe(addr uint64) bool { return false }
 
 func (m *valueReplaySystem) preRetireLoad(e *entry) *core.Violation {
 	// The retirement-time replay accesses the D-cache again — the extra
@@ -430,15 +431,6 @@ func (m *valueReplaySystem) preRetireLoad(e *entry) *core.Violation {
 
 func (m *valueReplaySystem) retireLoad(e *entry) bool { return false } // popped in preRetireLoad
 
-func (m *valueReplaySystem) retireStore(e *entry) (uint64, int, uint64, bool, error) {
-	addr, size, val, err := m.vr.RetireStore(e.seq)
-	return addr, size, val, false, err
-}
-
-func (m *valueReplaySystem) squashFrom(from seqnum.Seq) { m.vr.SquashFrom(from) }
-
-func (m *valueReplaySystem) onPartialFlush(seqnum.Seq, seqnum.Seq, bool, int) {}
-
 // ---------------------------------------------------------------------------
 // MDT + multi-version SFC memory subsystem (§4 multiversion alternative):
 // store renaming makes anti and output violations impossible, the corruption
@@ -446,33 +438,12 @@ func (m *valueReplaySystem) onPartialFlush(seqnum.Seq, seqnum.Seq, bool, int) {}
 // true violations remain for the MDT.
 
 type mvSFCSystem struct {
-	p    *Pipeline
-	mdt  *core.MDT
-	sfc  *core.MVSFC
-	fifo *core.StoreFIFO
+	mdtFIFO
+	sfc *core.MVSFC
 }
 
 func newMVSFCSystem(p *Pipeline) *mvSFCSystem {
-	mdt := core.NewMDT(p.cfg.MDT)
-	mdt.TrueOnly = true
-	mdt.SingleLoadOpt = p.cfg.Recovery.SingleLoadOpt
-	return &mvSFCSystem{
-		p:    p,
-		mdt:  mdt,
-		sfc:  core.NewMVSFC(p.cfg.MVSFC),
-		fifo: core.NewStoreFIFO(p.cfg.StoreFIFOCap),
-	}
-}
-
-func (m *mvSFCSystem) canDispatchLoad() bool  { return true }
-func (m *mvSFCSystem) canDispatchStore() bool { return m.fifo.Len() < m.fifo.Cap() }
-
-func (m *mvSFCSystem) dispatchLoad(seq seqnum.Seq, pc uint64) {}
-
-func (m *mvSFCSystem) dispatchStore(seq seqnum.Seq, pc uint64) {
-	if !m.fifo.Dispatch(seq) {
-		panic("pipeline: store FIFO dispatch after canDispatchStore")
-	}
+	return &mvSFCSystem{mdtFIFO: newMDTFIFO(p, true), sfc: core.NewMVSFC(p.cfg.MVSFC)}
 }
 
 func (m *mvSFCSystem) setBound(oldest seqnum.Seq) {
@@ -481,41 +452,19 @@ func (m *mvSFCSystem) setBound(oldest seqnum.Seq) {
 }
 
 func (m *mvSFCSystem) executeLoad(e *entry, head bool) memOutcome {
-	p := m.p
 	if head {
-		p.stats.HeadBypassLoads++
-		lat := p.cfg.AGULat + p.demandLoadLatency(e.pc, e.memAddr)
-		return memOutcome{value: p.memory.ReadUint(e.memAddr, e.memSize), latency: lat}
+		return m.bypassLoad(e)
 	}
-	res := m.mdt.AccessLoad(e.seq, e.pc, e.memAddr, e.memSize)
-	if res.Conflict {
+	// The MDT is TrueOnly here, so a load meets no anti violation.
+	if m.mdt.AccessLoad(e.seq, e.pc, e.memAddr, e.memSize).Conflict {
 		return memOutcome{replay: true, cause: replayMDTConflict}
 	}
-	sres := m.sfc.LoadRead(e.seq, e.memAddr, e.memSize)
-	switch sres.Status {
-	case core.SFCFull:
-		p.demandLoadLatency(e.pc, e.memAddr)
-		p.stats.SFCForwards++
-		return memOutcome{value: sres.Word, latency: p.cfg.AGULat + p.hier.Config().L1HitCycles, forwarded: true}
-	case core.SFCPartial:
-		lat := p.cfg.AGULat + p.demandLoadLatency(e.pc, e.memAddr)
-		memv := p.memory.ReadUint(e.memAddr, e.memSize)
-		v := sres.Word | memv&^core.ExpandByteMask(sres.ValidMask)
-		p.stats.SFCPartialMerges++
-		return memOutcome{value: v, latency: lat}
-	default:
-		lat := p.cfg.AGULat + p.demandLoadLatency(e.pc, e.memAddr)
-		return memOutcome{value: p.memory.ReadUint(e.memAddr, e.memSize), latency: lat}
-	}
+	return m.forward(e, m.sfc.LoadRead(e.seq, e.memAddr, e.memSize))
 }
 
 func (m *mvSFCSystem) executeStore(e *entry, head bool) memOutcome {
-	p := m.p
 	if head {
-		p.stats.HeadBypassStores++
-		m.fifo.Execute(e.seq, e.memAddr, e.memSize, e.memVal)
-		p.memory.WriteUint(e.memAddr, e.memSize, e.memVal)
-		return memOutcome{latency: p.cfg.AGULat, violation: m.mdt.CheckStoreAtHead(e.seq, e.pc, e.memAddr, e.memSize)}
+		return m.bypassStore(e)
 	}
 	if !m.sfc.CanWrite(e.seq, e.memAddr) {
 		m.sfc.StoreConflicts++
@@ -525,22 +474,11 @@ func (m *mvSFCSystem) executeStore(e *entry, head bool) memOutcome {
 	if res.Conflict {
 		return memOutcome{replay: true, cause: replayMDTConflict}
 	}
-	out := memOutcome{latency: p.cfg.AGULat + p.cfg.SFCTagCheckExtra, violation: res.Violation}
 	if !m.sfc.StoreWrite(e.seq, e.memAddr, e.memSize, e.memVal) {
 		panic("pipeline: MVSFC write failed after CanWrite")
 	}
 	m.fifo.Execute(e.seq, e.memAddr, e.memSize, e.memVal)
-	return out
-}
-
-// Only the MDT's way memo can be warmed here; the multi-version SFC keys
-// its versions by sequence number, which is unknown at dispatch.
-func (m *mvSFCSystem) preprobe(addr uint64) bool { return m.mdt.Preprobe(addr) }
-
-func (m *mvSFCSystem) preRetireLoad(e *entry) *core.Violation { return nil }
-
-func (m *mvSFCSystem) retireLoad(e *entry) bool {
-	return m.mdt.RetireLoad(e.seq, e.memAddr, e.memSize)
+	return memOutcome{latency: m.p.cfg.AGULat + m.p.cfg.SFCTagCheckExtra, violation: res.Violation}
 }
 
 func (m *mvSFCSystem) retireStore(e *entry) (uint64, int, uint64, bool, error) {
@@ -556,11 +494,9 @@ func (m *mvSFCSystem) retireStore(e *entry) (uint64, int, uint64, bool, error) {
 }
 
 func (m *mvSFCSystem) squashFrom(from seqnum.Seq) {
-	m.fifo.SquashFrom(from)
+	m.mdtFIFO.squashFrom(from)
 	m.sfc.SquashFrom(from) // exact version deletion: no corruption needed
 }
-
-func (m *mvSFCSystem) onPartialFlush(seqnum.Seq, seqnum.Seq, bool, int) {}
 
 var (
 	_ memSystem = (*mdtSFCSystem)(nil)

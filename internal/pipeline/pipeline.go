@@ -466,14 +466,8 @@ func (p *Pipeline) resetMemSystem() {
 		}
 		p.msys = newLSQSystem(p)
 	case MemMDTSFC:
-		if m, ok := p.msys.(*mdtSFCSystem); ok &&
-			m.mdt.Config() == cfg.MDT && m.sfc.Config() == cfg.SFC && m.fifo.Cap() == cfg.StoreFIFOCap {
-			m.p = p
-			m.mdt.Reset()
-			m.mdt.TrueOnly = false
-			m.mdt.SingleLoadOpt = cfg.Recovery.SingleLoadOpt
+		if m, ok := p.msys.(*mdtSFCSystem); ok && m.sfc.Config() == cfg.SFC && m.reset(p) {
 			m.sfc.Reset()
-			m.fifo.Reset()
 			return
 		}
 		p.msys = newMDTSFCSystem(p)
@@ -485,14 +479,8 @@ func (p *Pipeline) resetMemSystem() {
 		}
 		p.msys = newValueReplaySystem(p)
 	case MemMVSFC:
-		if m, ok := p.msys.(*mvSFCSystem); ok &&
-			m.mdt.Config() == cfg.MDT && m.sfc.Config() == cfg.MVSFC && m.fifo.Cap() == cfg.StoreFIFOCap {
-			m.p = p
-			m.mdt.Reset()
-			m.mdt.TrueOnly = true
-			m.mdt.SingleLoadOpt = cfg.Recovery.SingleLoadOpt
+		if m, ok := p.msys.(*mvSFCSystem); ok && m.sfc.Config() == cfg.MVSFC && m.reset(p) {
 			m.sfc.Reset()
-			m.fifo.Reset()
 			return
 		}
 		p.msys = newMVSFCSystem(p)
@@ -553,7 +541,7 @@ func (p *Pipeline) fail(err error) {
 }
 
 // Run simulates until the whole trace has retired (or an error occurs) and
-// returns the final statistics. Unless Config.NoElide pins the stepped
+// returns the final statistics. Unless Config.noElide pins the stepped
 // oracle, each step is followed by an elision attempt that jumps the clock
 // over provably quiescent spans (see elide.go); the two loops are
 // bit-identical in everything but wall time and Stats.CyclesElided.

@@ -13,11 +13,13 @@ import (
 // schedEquivConfigs are the configurations the wakeup scheduler must match
 // the linear-scan oracle on, bit for bit: the paper's MDT/SFC subsystem in
 // pairwise and total-order enforcement (the tag-waiter and replay paths),
-// the LSQ baseline, and retirement-time value replay. The ROB sizes are
-// chosen to exercise the bitset's word boundaries and ring wrap (64 = one
-// exact word, 96 = a partial second word, 128 = two words under an 8-wide
-// front end), and one configuration limits memory ports so the port-limited
-// skip path is covered.
+// the LSQ baseline, retirement-time value replay, the frontend stack, the
+// multi-version SFC, and the MDT/SFC with the search filter and flush
+// endpoints. Rows are only ever appended: tests pick [0] and [1]. The ROB
+// sizes are chosen to exercise the bitset's word boundaries and ring wrap
+// (64 = one exact word, 96 = a partial second word, 128 = two words under an
+// 8-wide front end), and one configuration limits memory ports so the
+// port-limited skip path is covered.
 func schedEquivConfigs() []Config {
 	return []Config{
 		{
@@ -56,6 +58,25 @@ func schedEquivConfigs() []Config {
 			Prefetch: prefetch.StrideConfig(),
 			Preprobe: core.AddrPredDefaults(),
 			MaxInsts: 4000,
+		},
+		{
+			// The §4 multiversion alternative (E16): a renaming SFC small
+			// enough for set and version-capacity conflicts, over a
+			// true-only MDT.
+			Name: "equiv-mvsfc", Width: 4, ROBSize: 96, MemSys: MemMVSFC,
+			MDT:   core.MDTConfig{Sets: 64, Ways: 2, GranBytes: 8, Tagged: true},
+			MVSFC: core.MVSFCConfig{Sets: 16, Ways: 2, Versions: 2},
+			Pred:  core.PredictorConfig{Mode: core.PredTrueOnly}, MaxInsts: 4000,
+		},
+		{
+			// The §4 search filter (E18) and the §3.2 flush endpoints (E12)
+			// on the paper's design, with an MDT small enough that the
+			// filter's exemptions matter.
+			Name: "equiv-mdtsfc-svw-endpoints", Width: 4, ROBSize: 64, MemSys: MemMDTSFC,
+			MDT:       core.MDTConfig{Sets: 4, Ways: 2, GranBytes: 8, Tagged: true},
+			SFC:       core.SFCConfig{Sets: 16, Ways: 2, FlushEndpoints: 2},
+			Pred:      core.PredictorConfig{Mode: core.PredPairwise},
+			SVWFilter: true, MaxInsts: 4000,
 		},
 	}
 }

@@ -78,7 +78,7 @@ func TestCachePrefixReuse(t *testing.T) {
 func TestCacheStoreBacked(t *testing.T) {
 	w, _ := workload.Get("mcf")
 	img := w.Build()
-	st := &CountingStore{Inner: NewMemStore()}
+	st := &countingStore{Store: NewMemStore()}
 
 	c1 := NewCache(st)
 	if _, err := c1.Source(img, "", 5_000, nil); err != nil {
@@ -145,4 +145,24 @@ loop:   addi r1, r1, -1
 	if v1.Len() != v2.Len() {
 		t.Fatalf("halted views disagree: %d vs %d", v1.Len(), v2.Len())
 	}
+}
+
+// countingStore counts the writes a cache makes to its backing store.
+type countingStore struct {
+	Store
+	mu   sync.Mutex
+	puts int
+}
+
+func (c *countingStore) Put(k Key, s *Stream) error {
+	c.mu.Lock()
+	c.puts++
+	c.mu.Unlock()
+	return c.Store.Put(k, s)
+}
+
+func (c *countingStore) Puts() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.puts
 }

@@ -2,7 +2,6 @@ package replay
 
 import (
 	"fmt"
-	"sync"
 
 	"sfcmdt/internal/blob"
 )
@@ -52,44 +51,4 @@ func NewDiskStore(dir string) (*blob.Typed[Key, *Stream], error) {
 		return nil, err
 	}
 	return Codec.Over(d), nil
-}
-
-// CountingStore wraps a Store and counts probes — the test hook behind the
-// sweep-hoist assertions (an N-point sweep must probe once per workload, not
-// once per grid point).
-type CountingStore struct {
-	Inner Store
-	mu    sync.Mutex
-	gets  int
-	puts  int
-}
-
-// Get implements Store, counting the probe.
-func (c *CountingStore) Get(k Key) (*Stream, bool, error) {
-	c.mu.Lock()
-	c.gets++
-	c.mu.Unlock()
-	return c.Inner.Get(k)
-}
-
-// Put implements Store, counting the write.
-func (c *CountingStore) Put(k Key, s *Stream) error {
-	c.mu.Lock()
-	c.puts++
-	c.mu.Unlock()
-	return c.Inner.Put(k, s)
-}
-
-// Gets returns the number of Get probes observed.
-func (c *CountingStore) Gets() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gets
-}
-
-// Puts returns the number of Put calls observed.
-func (c *CountingStore) Puts() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.puts
 }

@@ -70,14 +70,3 @@ func TestDiskStoreRoundTripAndCorruption(t *testing.T) {
 		t.Fatalf("corrupted blob: ok=%v err=%v, want rejection", ok, err)
 	}
 }
-
-func TestCountingStore(t *testing.T) {
-	st := &CountingStore{Inner: NewMemStore()}
-	k := Key{Workload: "gzip", Span: 1_000}
-	st.Get(k)
-	st.Put(k, testStream(t, 1_000))
-	st.Get(k)
-	if st.Gets() != 2 || st.Puts() != 1 {
-		t.Fatalf("gets=%d puts=%d, want 2/1", st.Gets(), st.Puts())
-	}
-}
