@@ -47,139 +47,159 @@ func LoadMemoryInto(s *mem.Sparse, img *prog.Image) {
 	s.SetBytes(img.DataBase, img.Data)
 }
 
-// Step executes one instruction and returns its retirement record.
-func (m *Machine) Step() (Record, error) {
+// Exec executes one instruction — the functional model's one interpreter —
+// and returns only what the replay stream keeps of it (see replay.Stream):
+//
+//   - val is the instruction's one dynamic value: the extended load result
+//     for a load (also when it loads into R0), the masked store data for a
+//     store, and otherwise the destination value, 0 when the destination is
+//     R0 or the instruction writes no register;
+//   - addr is the effective address of a load or store, JALR's target, and
+//     0 otherwise;
+//   - taken is the branch outcome, always set for JAL and JALR.
+//
+// It advances PC and Count. On error the machine is left unchanged. Step and
+// replay.Stream.RecordAt rebuild the full record from these outputs with
+// RecordOf.
+func (m *Machine) Exec() (val, addr uint64, taken bool, err error) {
 	if m.Halted {
-		return Record{}, fmt.Errorf("arch: step after halt")
+		return 0, 0, false, fmt.Errorf("arch: step after halt")
 	}
-	in, ok := m.Img.InstAt(m.PC)
+	pc := m.PC
+	in, ok := m.Img.InstAt(pc)
 	if !ok {
-		return Record{}, fmt.Errorf("arch: PC %#x outside code segment", m.PC)
+		return 0, 0, false, fmt.Errorf("arch: PC %#x outside code segment", pc)
 	}
-	rec := Record{PC: m.PC, Inst: in, NextPC: m.PC + 4}
+	next := pc + 4
 	rs1 := m.Regs[in.Rs1]
 	rs2 := m.Regs[in.Rs2]
-
-	setRd := func(v uint64) {
-		// Writes to R0 are discarded and recorded as having no
-		// destination, matching the pipeline's rename stage.
-		if in.Rd != isa.Zero {
-			rec.HasDest = true
-			rec.Dest = in.Rd
-			rec.DestVal = v
-			m.Regs[in.Rd] = v
-		}
-	}
+	imm := uint64(int64(in.Imm))
+	writesRd := true
 
 	switch in.Op {
 	case isa.OpAdd:
-		setRd(rs1 + rs2)
+		val = rs1 + rs2
 	case isa.OpSub:
-		setRd(rs1 - rs2)
+		val = rs1 - rs2
 	case isa.OpAnd:
-		setRd(rs1 & rs2)
+		val = rs1 & rs2
 	case isa.OpOr:
-		setRd(rs1 | rs2)
+		val = rs1 | rs2
 	case isa.OpXor:
-		setRd(rs1 ^ rs2)
+		val = rs1 ^ rs2
 	case isa.OpSll:
-		setRd(rs1 << (rs2 & 63))
+		val = rs1 << (rs2 & 63)
 	case isa.OpSrl:
-		setRd(rs1 >> (rs2 & 63))
+		val = rs1 >> (rs2 & 63)
 	case isa.OpSra:
-		setRd(uint64(int64(rs1) >> (rs2 & 63)))
+		val = uint64(int64(rs1) >> (rs2 & 63))
 	case isa.OpSlt:
-		setRd(boolToU64(int64(rs1) < int64(rs2)))
+		val = boolToU64(int64(rs1) < int64(rs2))
 	case isa.OpSltu:
-		setRd(boolToU64(rs1 < rs2))
+		val = boolToU64(rs1 < rs2)
 	case isa.OpMul:
-		setRd(rs1 * rs2)
+		val = rs1 * rs2
 	case isa.OpDiv:
-		setRd(divSemantics(int64(rs1), int64(rs2)))
+		val = divSemantics(int64(rs1), int64(rs2))
 	case isa.OpRem:
-		setRd(remSemantics(int64(rs1), int64(rs2)))
+		val = remSemantics(int64(rs1), int64(rs2))
 
 	case isa.OpAddi:
-		setRd(rs1 + uint64(int64(in.Imm)))
+		val = rs1 + imm
 	case isa.OpAndi:
-		setRd(rs1 & uint64(int64(in.Imm)))
+		val = rs1 & imm
 	case isa.OpOri:
-		setRd(rs1 | uint64(int64(in.Imm)))
+		val = rs1 | imm
 	case isa.OpXori:
-		setRd(rs1 ^ uint64(int64(in.Imm)))
+		val = rs1 ^ imm
 	case isa.OpSlli:
-		setRd(rs1 << (uint64(in.Imm) & 63))
+		val = rs1 << (imm & 63)
 	case isa.OpSrli:
-		setRd(rs1 >> (uint64(in.Imm) & 63))
+		val = rs1 >> (imm & 63)
 	case isa.OpSrai:
-		setRd(uint64(int64(rs1) >> (uint64(in.Imm) & 63)))
+		val = uint64(int64(rs1) >> (imm & 63))
 	case isa.OpSlti:
-		setRd(boolToU64(int64(rs1) < int64(in.Imm)))
+		val = boolToU64(int64(rs1) < int64(imm))
 
 	case isa.OpMovz:
-		setRd(uint64(uint32(in.Imm)) << (16 * uint(in.Sh)))
+		val = uint64(uint32(in.Imm)) << (16 * uint(in.Sh))
 	case isa.OpMovk:
-		old := m.Regs[in.Rd]
 		mask := uint64(0xFFFF) << (16 * uint(in.Sh))
-		setRd(old&^mask | uint64(uint32(in.Imm))<<(16*uint(in.Sh)))
+		val = m.Regs[in.Rd]&^mask | uint64(uint32(in.Imm))<<(16*uint(in.Sh))
 
 	case isa.OpLb, isa.OpLbu, isa.OpLh, isa.OpLhu, isa.OpLw, isa.OpLwu, isa.OpLd:
 		size := in.Op.MemSize()
-		addr := rs1 + uint64(int64(in.Imm))
-		if addr%uint64(size) != 0 {
-			return Record{}, fmt.Errorf("arch: misaligned %s at PC %#x: addr %#x", in.Op, m.PC, addr)
+		addr = rs1 + imm
+		if addr&uint64(size-1) != 0 { // sizes are powers of two
+			return 0, 0, false, fmt.Errorf("arch: misaligned %s at PC %#x: addr %#x", in.Op, pc, addr)
 		}
-		raw := m.Mem.ReadUint(addr, size)
-		v := extend(raw, size, in.Op.Signed())
-		rec.IsLoad, rec.Addr, rec.MemSize, rec.LoadVal = true, addr, size, v
-		setRd(v)
+		val = extend(m.Mem.ReadUint(addr, size), size, in.Op.Signed())
+		if in.Rd != isa.Zero {
+			m.Regs[in.Rd] = val
+		}
+		writesRd = false // a load into R0 still reports its value
 
 	case isa.OpSb, isa.OpSh, isa.OpSw, isa.OpSd:
 		size := in.Op.MemSize()
-		addr := rs1 + uint64(int64(in.Imm))
-		if addr%uint64(size) != 0 {
-			return Record{}, fmt.Errorf("arch: misaligned %s at PC %#x: addr %#x", in.Op, m.PC, addr)
+		addr = rs1 + imm
+		if addr&uint64(size-1) != 0 { // sizes are powers of two
+			return 0, 0, false, fmt.Errorf("arch: misaligned %s at PC %#x: addr %#x", in.Op, pc, addr)
 		}
-		val := rs2 & sizeMask(size)
+		val = rs2 & sizeMask(size)
 		m.Mem.WriteUint(addr, size, val)
-		rec.IsStore, rec.Addr, rec.MemSize, rec.StoreVal = true, addr, size, val
+		writesRd = false
 
 	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu, isa.OpBgeu:
-		taken := evalBranch(in.Op, rs1, rs2)
-		rec.IsBranch = true
-		rec.Taken = taken
+		taken = evalBranch(in.Op, rs1, rs2)
 		if taken {
-			rec.NextPC = m.PC + 4 + uint64(int64(in.Imm))*4
+			next += imm * 4
 		}
+		writesRd = false
 
 	case isa.OpJal:
-		setRd(m.PC + 4)
-		rec.IsBranch = true
-		rec.Taken = true
-		rec.NextPC = m.PC + 4 + uint64(int64(in.Imm))*4
+		val, taken = pc+4, true
+		next += imm * 4
 
 	case isa.OpJalr:
-		target := (rs1 + uint64(int64(in.Imm))) &^ 3
-		setRd(m.PC + 4)
-		rec.IsBranch = true
-		rec.Taken = true
-		rec.NextPC = target
+		addr = (rs1 + imm) &^ 3
+		val, taken, next = pc+4, true, addr
 
 	case isa.OpHalt:
 		m.Halted = true
-		rec.Halt = true
-		rec.NextPC = m.PC // parked
+		next = pc // parked
+		writesRd = false
 
 	case isa.OpNop:
-		// nothing
+		writesRd = false
 
 	default:
-		return Record{}, fmt.Errorf("arch: unimplemented op %v at PC %#x", in.Op, m.PC)
+		return 0, 0, false, fmt.Errorf("arch: unimplemented op %v at PC %#x", in.Op, pc)
 	}
 
-	m.PC = rec.NextPC
+	// Writes to R0 are discarded and report no value, matching the
+	// pipeline's rename stage.
+	if writesRd {
+		if in.Rd == isa.Zero {
+			val = 0
+		} else {
+			m.Regs[in.Rd] = val
+		}
+	}
+	m.PC = next
 	m.Count++
-	return rec, nil
+	return val, addr, taken, nil
+}
+
+// Step executes one instruction and returns its retirement record: Exec,
+// with the record rebuilt from its outputs by RecordOf.
+func (m *Machine) Step() (Record, error) {
+	pc := m.PC
+	val, addr, taken, err := m.Exec()
+	if err != nil {
+		return Record{}, err
+	}
+	d := isa.PredecodeInst(m.Img.Code[(pc-m.Img.CodeBase)/4])
+	return RecordOf(&d, pc, val, addr, taken), nil
 }
 
 // EvalBranch evaluates a conditional branch's direction given its operand

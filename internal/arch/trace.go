@@ -32,6 +32,64 @@ type Record struct {
 	Halt bool
 }
 
+// RecordOf rebuilds the retirement record of instruction d, executed at pc,
+// from what Exec returned for it. It is the one place the record's shape is
+// derived from those outputs: Step and replay.Stream.RecordAt both call it,
+// and Outputs is its inverse.
+func RecordOf(d *isa.DecodedInst, pc, val, addr uint64, taken bool) Record {
+	rec := Record{PC: pc, Inst: d.Inst, NextPC: NextPC(d, pc, addr, taken)}
+	if d.HasDest {
+		rec.HasDest, rec.Dest, rec.DestVal = true, d.DestReg, val
+	}
+	switch {
+	case d.IsLoad:
+		rec.IsLoad, rec.Addr, rec.MemSize, rec.LoadVal = true, addr, d.MemSize, val
+	case d.IsStore:
+		rec.IsStore, rec.Addr, rec.MemSize, rec.StoreVal = true, addr, d.MemSize, val
+	case d.IsBranch:
+		rec.IsBranch, rec.Taken = true, taken
+	case d.IsJump:
+		rec.IsBranch, rec.Taken = true, true
+	case d.Inst.Op == isa.OpHalt:
+		rec.Halt = true
+	}
+	return rec
+}
+
+// NextPC is the architectural next PC of instruction d executed at pc, given
+// Exec's addr and taken outputs for it: the immediate-relative target for a
+// taken branch and for JAL, addr for JALR, the parked PC for HALT, and the
+// fall-through otherwise.
+func NextPC(d *isa.DecodedInst, pc, addr uint64, taken bool) uint64 {
+	switch {
+	case d.IsBranch && taken, d.Inst.Op == isa.OpJal:
+		return pc + 4 + uint64(int64(d.Inst.Imm))*4
+	case d.Inst.Op == isa.OpJalr:
+		return addr
+	case d.Inst.Op == isa.OpHalt:
+		return pc
+	}
+	return pc + 4
+}
+
+// Outputs returns what Exec returned for the instruction r records, the
+// inverse of RecordOf.
+func (r *Record) Outputs() (val, addr uint64, taken bool) {
+	switch {
+	case r.IsLoad:
+		val = r.LoadVal
+	case r.IsStore:
+		val = r.StoreVal
+	default:
+		val = r.DestVal
+	}
+	addr = r.Addr
+	if r.Inst.Op == isa.OpJalr {
+		addr = r.NextPC
+	}
+	return val, addr, r.Taken
+}
+
 // Trace is the correct-path dynamic instruction stream of a program run.
 type Trace struct {
 	Recs   []Record

@@ -101,9 +101,8 @@ func (s *Stream) Bind(img *prog.Image, dec []isa.DecodedInst) error {
 	return nil
 }
 
-// append adds one retirement record to the columns.
-func (s *Stream) append(rec *arch.Record) error {
-	pc := rec.PC
+// push appends one instruction's Exec outputs to the columns.
+func (s *Stream) push(pc, val, addr uint64, taken bool) error {
 	if pc < s.CodeBase || (pc-s.CodeBase)%4 != 0 {
 		return fmt.Errorf("replay: record PC %#x not in code segment at %#x", pc, s.CodeBase)
 	}
@@ -113,23 +112,12 @@ func (s *Stream) append(rec *arch.Record) error {
 	}
 	i := len(s.CodeIdx)
 	s.CodeIdx = append(s.CodeIdx, uint32(idx))
-	switch {
-	case rec.IsLoad:
-		s.Val = append(s.Val, rec.LoadVal)
-	case rec.IsStore:
-		s.Val = append(s.Val, rec.StoreVal)
-	default:
-		s.Val = append(s.Val, rec.DestVal)
-	}
-	if rec.Inst.Op == isa.OpJalr {
-		s.Addr = append(s.Addr, rec.NextPC)
-	} else {
-		s.Addr = append(s.Addr, rec.Addr)
-	}
+	s.Val = append(s.Val, val)
+	s.Addr = append(s.Addr, addr)
 	if i>>6 >= len(s.Taken) {
 		s.Taken = append(s.Taken, 0)
 	}
-	if rec.Taken {
+	if taken {
 		s.setTaken(i)
 	}
 	return nil
@@ -142,7 +130,8 @@ func (s *Stream) append(rec *arch.Record) error {
 func FromTrace(img *prog.Image, t *arch.Trace) (*Stream, error) {
 	s := newStream(img, t.Len())
 	for i := range t.Recs {
-		if err := s.append(&t.Recs[i]); err != nil {
+		val, addr, taken := t.Recs[i].Outputs()
+		if err := s.push(t.Recs[i].PC, val, addr, taken); err != nil {
 			return nil, err
 		}
 	}
@@ -165,8 +154,9 @@ func newStream(img *prog.Image, capHint int) *Stream {
 }
 
 // Materialize runs the functional model for at most span instructions and
-// returns the stream directly, without building the intermediate AoS trace —
-// this is the one functional pass a sweep pays per workload.
+// returns the stream directly, appending arch.Machine.Exec's outputs to the
+// columns without building a trace or a per-instruction record — this is
+// the one functional pass a sweep pays per workload.
 func Materialize(img *prog.Image, span uint64) (*Stream, error) {
 	m := arch.New(img)
 	s, err := materializeFrom(m, span, img)
@@ -191,11 +181,12 @@ func materializeFrom(m *arch.Machine, n uint64, img *prog.Image) (*Stream, error
 	s := newStream(img, int(min(n, 1<<20)))
 	target := m.Count + n
 	for m.Count < target && !m.Halted {
-		rec, err := m.Step()
+		pc := m.PC
+		val, addr, taken, err := m.Exec()
 		if err != nil {
 			return nil, fmt.Errorf("replay: %s: after %d insts: %w", img.Name, m.Count, err)
 		}
-		if err := s.append(&rec); err != nil {
+		if err := s.push(pc, val, addr, taken); err != nil {
 			return nil, err
 		}
 	}
@@ -212,63 +203,18 @@ func (s *Stream) PCAt(i int) uint64 { return s.CodeBase + uint64(s.CodeIdx[i])*4
 // TakenAt returns record i's branch outcome.
 func (s *Stream) TakenAt(i int) bool { return s.taken(i) }
 
-// NextPCAt derives record i's architectural next PC from the columns,
-// mirroring arch.Machine.Step exactly: fall-through for straight-line code,
-// the immediate-relative target for taken branches and JAL, the Addr column
-// for JALR, and the parked PC for HALT.
+// NextPCAt derives record i's architectural next PC from the columns with
+// arch.NextPC, the rule RecordAt's reconstruction uses.
 func (s *Stream) NextPCAt(i int) uint64 {
-	d := &s.dec[s.CodeIdx[i]]
-	pc := s.PCAt(i)
-	switch {
-	case d.IsBranch:
-		if s.taken(i) {
-			return pc + 4 + uint64(int64(d.Inst.Imm))*4
-		}
-		return pc + 4
-	case d.Inst.Op == isa.OpJal:
-		return pc + 4 + uint64(int64(d.Inst.Imm))*4
-	case d.Inst.Op == isa.OpJalr:
-		return s.Addr[i]
-	case d.Inst.Op == isa.OpHalt:
-		return pc
-	default:
-		return pc + 4
-	}
+	return arch.NextPC(&s.dec[s.CodeIdx[i]], s.PCAt(i), s.Addr[i], s.taken(i))
 }
 
-// RecordAt reconstructs record i as the golden model produced it. The
-// round trip (arch.Record → columns → RecordAt) is exact for every field,
-// so replay-mode retirement validation is precisely as strong as lockstep
-// validation against the original trace.
+// RecordAt reconstructs record i as the golden model produced it, with
+// arch.RecordOf over the columns — the reconstruction arch.Machine.Step
+// itself returns, so replay-mode retirement validation is precisely as
+// strong as lockstep validation against the original trace.
 func (s *Stream) RecordAt(i int) arch.Record {
-	d := &s.dec[s.CodeIdx[i]]
-	pc := s.PCAt(i)
-	rec := arch.Record{PC: pc, Inst: d.Inst, NextPC: pc + 4}
-	if d.HasDest {
-		rec.HasDest, rec.Dest, rec.DestVal = true, d.DestReg, s.Val[i]
-	}
-	switch {
-	case d.IsLoad:
-		rec.IsLoad, rec.Addr, rec.MemSize, rec.LoadVal = true, s.Addr[i], d.MemSize, s.Val[i]
-	case d.IsStore:
-		rec.IsStore, rec.Addr, rec.MemSize, rec.StoreVal = true, s.Addr[i], d.MemSize, s.Val[i]
-	case d.IsBranch:
-		rec.IsBranch = true
-		if s.taken(i) {
-			rec.Taken = true
-			rec.NextPC = pc + 4 + uint64(int64(d.Inst.Imm))*4
-		}
-	case d.Inst.Op == isa.OpJal:
-		rec.IsBranch, rec.Taken = true, true
-		rec.NextPC = pc + 4 + uint64(int64(d.Inst.Imm))*4
-	case d.Inst.Op == isa.OpJalr:
-		rec.IsBranch, rec.Taken = true, true
-		rec.NextPC = s.Addr[i]
-	case d.Inst.Op == isa.OpHalt:
-		rec.Halt = true
-		rec.NextPC = pc
-	}
-	return rec
+	return arch.RecordOf(&s.dec[s.CodeIdx[i]], s.PCAt(i), s.Val[i], s.Addr[i], s.taken(i))
 }
 
 // Decoded returns the bound predecode table (nil before Bind).

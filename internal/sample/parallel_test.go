@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"sfcmdt/internal/harness"
+	"sfcmdt/internal/mem"
 	"sfcmdt/internal/par"
+	"sfcmdt/internal/pipeline"
 	"sfcmdt/internal/sample"
 	"sfcmdt/internal/snapshot"
 )
@@ -223,6 +225,72 @@ func TestPrepareParallelRestore(t *testing.T) {
 	}
 	got.FFInsts = want.FFInsts // provenance: the restore path fast-forwarded nothing
 	sameResult(t, want, got, "restored")
+}
+
+// TestStartMemoryStaysReadOnly pins what lets preparation hand out
+// checkpoint memory as interval start memory without copying it: a cold
+// Prepare (start memory captured for the store) and a warm one (start memory
+// restored from it), each measured under two configurations at once with two
+// workers apiece, leave every interval's Start.Mem equal to the stored
+// checkpoint page for page.
+func TestStartMemoryStaysReadOnly(t *testing.T) {
+	plan := sample.Plan{FastForward: 2_000, Warm: 300, Measure: 700, Intervals: 4}
+	cfgs := []pipeline.Config{
+		harness.BaselineConfig(harness.MDTSFCEnf, 0),
+		harness.BaselineConfig(harness.LSQ48x32, 0),
+	}
+	img := image(t, "gzip").Img
+	store := snapshot.NewMemStore()
+	for _, pass := range []string{"cold", "warm"} {
+		ivs, err := sample.Prepare(img, plan, store, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for _, cfg := range cfgs {
+			wg.Add(1)
+			go func(cfg pipeline.Config) {
+				defer wg.Done()
+				if _, err := ivs.RunParallel(context.Background(), cfg, 2, par.NewSem(4)); err != nil {
+					t.Error(err)
+				}
+			}(cfg)
+		}
+		wg.Wait()
+		for _, iv := range ivs.Ivs {
+			cp, ok, err := store.Get(snapshot.Key{Workload: img.Name, Insts: iv.Offset})
+			if err != nil || !ok {
+				t.Fatalf("%s: checkpoint at %d: ok=%v err=%v", pass, iv.Offset, ok, err)
+			}
+			if pn, ok := samePages(iv.Start.Mem, cp.Mem); !ok {
+				t.Errorf("%s: interval at %d: start memory page %#x differs from its checkpoint after measuring", pass, iv.Offset, pn)
+			}
+		}
+	}
+}
+
+// samePages reports whether two memories hold the same bytes, an unmapped
+// page reading as zeros, and otherwise the number of a page that differs.
+func samePages(a, b *mem.Sparse) (uint64, bool) {
+	pages := func(s *mem.Sparse) map[uint64]*[mem.PageSize]byte {
+		m := map[uint64]*[mem.PageSize]byte{}
+		s.ForEachPage(func(pn uint64, data *[mem.PageSize]byte) { m[pn] = data })
+		return m
+	}
+	pa, pb := pages(a), pages(b)
+	var zero [mem.PageSize]byte
+	for _, pair := range [][2]map[uint64]*[mem.PageSize]byte{{pa, pb}, {pb, pa}} {
+		for pn, x := range pair[0] {
+			y := pair[1][pn]
+			if y == nil {
+				y = &zero
+			}
+			if *x != *y {
+				return pn, false
+			}
+		}
+	}
+	return 0, true
 }
 
 // TestRunParallelRace hammers one prepared plan with many concurrent

@@ -1,9 +1,10 @@
 // Package sample implements functional fast-forward and SMARTS-style
 // systematic interval sampling, the subsystem that makes paper-scale
 // instruction budgets tractable: instead of simulating every instruction in
-// detail from cycle 0, a run fast-forwards on the architectural golden model
-// (near-native speed, no pipeline), runs a short detailed-warm prefix whose
-// statistics are discarded, measures a short detailed interval, and repeats —
+// detail from cycle 0, a run fast-forwards on the architectural golden
+// model's interpreter (arch.Machine.Exec: no pipeline and no retirement
+// record), runs a short detailed-warm prefix whose statistics are discarded,
+// measures a short detailed interval, and repeats —
 // aggregating measured intervals into an IPC estimate with a coefficient of
 // variation over intervals.
 //
@@ -43,7 +44,7 @@ import (
 func FastForward(m *arch.Machine, n uint64) error {
 	target := m.Count + n
 	for m.Count < target && !m.Halted {
-		if _, err := m.Step(); err != nil {
+		if _, _, _, err := m.Exec(); err != nil {
 			return err
 		}
 	}
@@ -87,7 +88,9 @@ func (p Plan) String() string {
 // Interval is one prepared measurement point: the warm architectural state
 // at the start of the detailed portion and the reference stream of the Warm +
 // Measure instructions that follow it — a compact columnar replay stream,
-// read-only after preparation and shared across configurations.
+// read-only after preparation and shared across configurations. Start.Mem is
+// read-only too: where preparation captured or restored a checkpoint at the
+// interval's start, it is that checkpoint's memory rather than a copy.
 type Interval struct {
 	Offset uint64 // instructions retired before the detailed portion starts
 	Start  *pipeline.StartState
@@ -208,8 +211,12 @@ type segResult struct {
 
 func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args string, trace bool, seg [2]int, states []*snapshot.State, getErrs []error) (out segResult) {
 	var m *arch.Machine
-	if st := states[seg[0]]; st != nil {
-		restored, err := st.Machine(img)
+	// held is a checkpoint of m's current state that preparation already
+	// holds: its memory, read-only after capture or decode, becomes the
+	// interval's start memory instead of one more copy of m.Mem.
+	held := states[seg[0]]
+	if held != nil {
+		restored, err := held.Machine(img)
 		if err != nil {
 			out.err = err
 			return
@@ -232,8 +239,10 @@ func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args strin
 				return
 			}
 			out.ff += m.Count - before
+			held = nil
 			if store != nil && !m.Halted {
-				if err := store.Put(snapshot.Key{Workload: img.Name, Args: args, Insts: start}, snapshot.Capture(m)); err != nil {
+				held = snapshot.Capture(m)
+				if err := store.Put(snapshot.Key{Workload: img.Name, Args: args, Insts: start}, held); err != nil {
 					out.err = err
 					return
 				}
@@ -243,7 +252,12 @@ func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args strin
 			out.halted = true
 			return
 		}
-		st := &pipeline.StartState{Regs: m.Regs, PC: m.PC, Mem: m.Mem.Clone()}
+		st := &pipeline.StartState{Regs: m.Regs, PC: m.PC}
+		if held != nil {
+			st.Mem, held = held.Mem, nil // m moves past it below
+		} else {
+			st.Mem = m.Mem.Clone()
+		}
 		var src pipeline.ReplaySource
 		if trace {
 			tr, err := arch.RunTraceFrom(m, plan.Warm+plan.Measure)

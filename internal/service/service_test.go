@@ -470,11 +470,12 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestServePathIndependence serves one unsampled and one sampled request
-// through each path a node offers — cold, from the result cache, and on fresh
-// services that restore from the first one's checkpoint and stream stores —
-// and requires byte-identical canonical JSON from every serving. The paths
-// really differ: the cold sampled run fast-forwards, the restored one does
-// not, and the wire's ff_insts says so until Canonical strips it.
+// through each path a node offers — cold, from the result cache, on fresh
+// services that restore from the first one's checkpoint and stream stores,
+// and (the sampled request) coalesced onto one restoring run — and requires
+// byte-identical canonical JSON from every serving. The paths really differ:
+// the cold sampled run fast-forwards, the restored one does not, and the
+// wire's ff_insts says so until Canonical strips it.
 func TestServePathIndependence(t *testing.T) {
 	t.Cleanup(trackGoroutines(t))
 	ctx := context.Background()
@@ -525,6 +526,71 @@ func TestServePathIndependence(t *testing.T) {
 		if st := fresh.Stats(); rq.Sampling == nil && (st.ReplayStoreHits != 1 || st.ReplayMaterialized != 0) {
 			t.Errorf("fresh service: replay_store_hits=%d materialized=%d, want 1 and 0", st.ReplayStoreHits, st.ReplayMaterialized)
 		}
+	}
+
+	// Coalesced: identical sampled requests at once on a fresh service over
+	// the shared stores. The real backend's leader is held until every other
+	// request has joined its flight, so all but one are served coalesced.
+	const clients = 4
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseLeader := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseLeader()
+	var coalesced *Service
+	coalesced = newReplayTestService(t, Config{Workers: 2, Checkpoints: checkpoints, Streams: streams,
+		Backend: func(ctx context.Context, rq RunRequest) (*Result, error) {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return coalesced.simBackend(ctx, rq)
+		}})
+	results := make([]*Result, clients)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := coalesced.Do(ctx, reqs[1], true)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i] = res
+		}(i)
+	}
+	for deadline := time.Now().Add(10 * time.Second); coalesced.Stats().Coalesced < clients-1; {
+		if time.Now().After(deadline) {
+			releaseLeader()
+			wg.Wait()
+			t.Fatalf("only %d of %d requests joined the leader's flight", coalesced.Stats().Coalesced, clients-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	releaseLeader()
+	wg.Wait()
+	joined := 0
+	for _, res := range results {
+		if res == nil {
+			t.FailNow() // its error is already reported
+		}
+		if res.Coalesced {
+			joined++
+		}
+		if res.Sampling.FFInsts != 0 {
+			t.Fatalf("coalesced sampled run fast-forwarded %d insts, want 0", res.Sampling.FFInsts)
+		}
+		b, err := json.Marshal(res.Canonical())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != want[1] {
+			t.Errorf("%s: coalesced serving differs:\n got  %s\n want %s", reqs[1].Key(), b, want[1])
+		}
+	}
+	if joined != clients-1 {
+		t.Errorf("%d of %d servings coalesced, want %d", joined, clients, clients-1)
 	}
 }
 
