@@ -71,7 +71,8 @@ bench-verify:
 
 # End-to-end smoke of the serving stack: sfcserve on an ephemeral port,
 # an sfcload burst that must hit the cache/coalescer for >=50% of requests,
-# and a clean SIGTERM drain.
+# sfcsim -json reporting the config name and cycles /v1/run reports for the
+# same request, and a clean SIGTERM drain.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

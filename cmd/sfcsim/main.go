@@ -4,16 +4,19 @@
 //
 // Usage:
 //
-//	sfcsim [-config baseline|aggressive] [-mem mdtsfc|lsq] [-pred enf|not-enf|total|off]
-//	       [-bpred gshare|tage] [-prefetch none|stride] [-preprobe]
-//	       [-lq N] [-sq N] [-insts N] [-json] [-list] <workload>
+//	sfcsim [-config baseline|aggressive] [-mem mdtsfc|lsq|value-replay|mvsfc]
+//	       [-pred enf|not-enf|total|off] [-bpred gshare|tage] [-prefetch none|stride]
+//	       [-preprobe] [-lq N -sq N] [-insts N] [-json] [-list] <workload>
 //	sfcsim -fastforward N [-checkpoint-dir DIR] [flags] <workload>
 //	sfcsim -sample-measure M [-fastforward W] [-sample-warm U] [-sample-intervals K]
 //	       [-checkpoint-dir DIR] [flags] <workload>
 //
-// -json emits the run as one service.Result JSON object — the same
-// machine-readable schema sfcserve's /v1/run returns — instead of the text
-// report.
+// The configuration flags are the fields of a sfcserve /v1/run request and
+// take its defaults: an empty -pred picks the paper's mode for the
+// (config, mem) pair, and -lq/-sq size the lsq and value-replay queues only
+// when both are set. -json emits the run as one service.Result JSON object —
+// the schema /v1/run returns, with the same config name — instead of the
+// text report.
 //
 // -fastforward skips N instructions on the functional model before the
 // detailed run; -sample-measure switches to SMARTS-style interval sampling
@@ -31,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"text/tabwriter"
 
@@ -43,16 +47,19 @@ import (
 	"sfcmdt/sim"
 )
 
+// defaultInsts is -insts's default, and the budget -insts 0 asks for.
+const defaultInsts = 200_000
+
 func main() {
 	cfgName := flag.String("config", "aggressive", "processor: baseline or aggressive")
-	memSys := flag.String("mem", "mdtsfc", "memory subsystem: mdtsfc or lsq")
-	pred := flag.String("pred", "", "predictor mode: enf, not-enf, total, off (default: enf for baseline mdtsfc, total for aggressive mdtsfc, true-only for lsq)")
-	lq := flag.Int("lq", 0, "LSQ load-queue entries (lsq only; default per config)")
-	sq := flag.Int("sq", 0, "LSQ store-queue entries")
+	memSys := flag.String("mem", "mdtsfc", "memory subsystem: mdtsfc, lsq, value-replay or mvsfc")
+	pred := flag.String("pred", "", "predictor mode: enf, not-enf, total, off (default: enf for baseline mdtsfc, total for aggressive mdtsfc, off for value-replay, not-enf otherwise)")
+	lq := flag.Int("lq", 0, "load-queue entries (lsq and value-replay, with -sq; default per config)")
+	sq := flag.Int("sq", 0, "store-queue entries (lsq and value-replay, with -lq; default per config)")
 	bpredName := flag.String("bpred", "gshare", "branch predictor: gshare or tage")
 	prefetchName := flag.String("prefetch", "none", "L1D hardware prefetcher: none or stride")
 	preprobe := flag.Bool("preprobe", false, "pre-probe the SFC/MDT way memos with predicted load addresses at dispatch (timing-only)")
-	insts := flag.Uint64("insts", 200_000, "correct-path instructions to simulate")
+	insts := flag.Uint64("insts", defaultInsts, "correct-path instructions to simulate")
 	ff := flag.Uint64("fastforward", 0, "functionally fast-forward N instructions per interval before detailed simulation")
 	sWarm := flag.Uint64("sample-warm", 0, "detailed-warm instructions per interval, statistics discarded")
 	sMeasure := flag.Uint64("sample-measure", 0, "measured instructions per interval (enables interval sampling; default: -insts in one interval)")
@@ -83,34 +90,28 @@ func main() {
 		os.Exit(2)
 	}
 
-	variant := pickVariant(*memSys, *pred, *cfgName)
-	if *lq > 0 {
-		variant.LQ = *lq
+	// The flags name a /v1/run request; normalizing it (uncapped) resolves
+	// the defaults and the configuration exactly as sfcserve does.
+	rq := service.RunRequest{
+		Workload: w.Name, Config: *cfgName, Mem: *memSys, Pred: *pred, LQ: *lq, SQ: *sq,
+		BPred: *bpredName, Prefetch: *prefetchName, Preprobe: *preprobe, Insts: *insts,
 	}
-	if *sq > 0 {
-		variant.SQ = *sq
+	if *ff > 0 || *sMeasure > 0 {
+		measure := *sMeasure
+		if measure == 0 {
+			measure = *insts
+		}
+		rq.Sampling = &service.SamplingSpec{FF: *ff, Warm: *sWarm, Measure: measure, Intervals: *sIntervals}
+		rq.Insts = 0
 	}
-	var cfg sim.Config
-	switch *cfgName {
-	case "baseline":
-		cfg = sim.Baseline(variant, *insts)
-	case "aggressive":
-		cfg = sim.Aggressive(variant, *insts)
-	default:
-		fmt.Fprintf(os.Stderr, "sfcsim: unknown config %q\n", *cfgName)
-		os.Exit(2)
-	}
-	fe := sim.Frontend{BPred: *bpredName, Prefetch: *prefetchName, Preprobe: *preprobe}
-	if err := fe.Apply(&cfg); err != nil {
+	if err := rq.Normalize(defaultInsts, math.MaxUint64, math.MaxUint64); err != nil {
 		fmt.Fprintf(os.Stderr, "sfcsim: %v\n", err)
 		os.Exit(2)
 	}
+	cfg := rq.PipelineConfig()
 
-	if *ff > 0 || *sMeasure > 0 {
-		plan := sample.Plan{FastForward: *ff, Warm: *sWarm, Measure: *sMeasure, Intervals: *sIntervals}
-		if plan.Measure == 0 {
-			plan.Measure = *insts
-		}
+	if sp := rq.Sampling; sp != nil {
+		plan := sample.Plan{FastForward: sp.FF, Warm: sp.Warm, Measure: sp.Measure, Intervals: sp.Intervals}
 		runSampled(cfg, w, plan, *ckptDir, *sParallel, *jsonOut)
 		return
 	}
@@ -126,7 +127,7 @@ func main() {
 		store = st
 	}
 	var p *pipeline.Pipeline
-	v, err := replay.NewCache(store).Source(img, "", *insts, nil)
+	v, err := replay.NewCache(store).Source(img, "", rq.Insts, nil)
 	if err == nil {
 		p, err = pipeline.NewWithTrace(cfg, img, v)
 	}
@@ -141,7 +142,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		res := service.NewResult(w.Name, string(w.Class), cfg.Name, *insts, s)
+		res := service.NewResult(w.Name, string(w.Class), cfg.Name, rq.Insts, s)
 		enc := json.NewEncoder(os.Stdout)
 		if err := enc.Encode(res); err != nil {
 			fmt.Fprintf(os.Stderr, "sfcsim: %v\n", err)
@@ -266,34 +267,4 @@ func runSampled(cfg sim.Config, w sim.WorkloadSpec, plan sample.Plan, ckptDir st
 	tw = tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	writeStats(tw, sres.Measured)
 	tw.Flush()
-}
-
-func pickVariant(memSys, pred, cfgName string) sim.Variant {
-	switch memSys {
-	case "lsq":
-		if cfgName == "baseline" {
-			return sim.LSQ48x32
-		}
-		return sim.LSQ120x80
-	case "mdtsfc":
-		v := sim.MDTSFCEnf
-		if cfgName == "aggressive" {
-			v = sim.MDTSFCTotal
-		}
-		switch pred {
-		case "enf":
-			v.Pred = sim.PredPairwise
-		case "not-enf":
-			v.Pred = sim.PredTrueOnly
-		case "total":
-			v.Pred = sim.PredTotalOrder
-		case "off":
-			v.Pred = sim.PredOff
-		}
-		return v
-	default:
-		fmt.Fprintf(os.Stderr, "sfcsim: unknown memory subsystem %q\n", memSys)
-		os.Exit(2)
-		return sim.Variant{}
-	}
 }

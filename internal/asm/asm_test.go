@@ -41,7 +41,7 @@ func TestAssembleAndRun(t *testing.T) {
 		t.Fatalf("sum = %d, want 15", m.Regs[3])
 	}
 	out := m.Regs[5]
-	if got := m.Mem.Read(out, 8); got != 15 {
+	if got := m.Mem.ReadUint(out, 8); got != 15 {
 		t.Fatalf("stored sum = %d", got)
 	}
 }

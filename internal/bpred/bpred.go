@@ -129,13 +129,11 @@ func (c Config) WithDefaults() Config {
 }
 
 // Counters is the statistics block every predictor maintains (correct-path
-// conditional branches only; the pipeline drives the Lookups/BaseWrong/
-// OracleCorrected/FinalMispredicts fields, the predictor itself the rest).
+// conditional branches only; the pipeline drives the Lookups and BaseWrong
+// fields, the predictor itself the rest).
 type Counters struct {
-	Lookups          uint64
-	BaseWrong        uint64 // predictor's own wrong predictions (pre-oracle)
-	OracleCorrected  uint64
-	FinalMispredicts uint64
+	Lookups   uint64
+	BaseWrong uint64 // predictor's own wrong predictions (pre-oracle)
 
 	// TAGE-specific (zero for gshare).
 	TaggedProvider uint64 // predictions supplied by a tagged table

@@ -226,14 +226,28 @@ func TestClusterSweepMaterializesOncePerKey(t *testing.T) {
 	}
 }
 
+// TestClusterReroutesAroundDeadWorker serves a request, kills the worker
+// that served it, and serves it again: the coordinator must reroute to the
+// survivor and return the same canonical bytes. A sampled request must
+// survive the reroute too: its rerun may restore checkpoints where the first
+// serving fast-forwarded, and Canonical must hide that provenance.
 func TestClusterReroutesAroundDeadWorker(t *testing.T) {
+	t.Run("unsampled", func(t *testing.T) {
+		testRerouteAroundDeadWorker(t, service.RunRequest{Workload: "gzip", Insts: 3_000})
+	})
+	t.Run("sampled", func(t *testing.T) {
+		plan := &service.SamplingSpec{FF: 1000, Warm: 200, Measure: 500, Intervals: 2}
+		testRerouteAroundDeadWorker(t, service.RunRequest{Workload: "gzip", Sampling: plan})
+	})
+}
+
+func testRerouteAroundDeadWorker(t *testing.T, rq service.RunRequest) {
 	coord, csrv, nodes := newCluster(t, 2, cluster.Config{
 		// Health probes off the hot path: the reroute below must come from
 		// the request path's own failure handling.
 		ProbeInterval: time.Hour,
 	})
 
-	rq := service.RunRequest{Workload: "gzip", Insts: 3_000}
 	res, status := postRun(t, csrv.URL, rq)
 	if status != http.StatusOK {
 		t.Fatalf("run status %d", status)
@@ -263,7 +277,8 @@ func TestClusterReroutesAroundDeadWorker(t *testing.T) {
 		t.Fatalf("rerun ran on %s, want survivor %s", res2.Node, alive.srv.URL)
 	}
 	if !bytes.Equal(mustJSON(t, res.Canonical()), mustJSON(t, res2.Canonical())) {
-		t.Fatal("rerouted rerun differs from the original run")
+		t.Fatalf("rerouted rerun differs from the original run:\n first %s\n rerun %s",
+			mustJSON(t, res.Canonical()), mustJSON(t, res2.Canonical()))
 	}
 
 	st := coord.ClusterStats()

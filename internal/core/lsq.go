@@ -53,8 +53,6 @@ type LSQ struct {
 	// Stats.
 	LoadSearches   uint64
 	StoreSearches  uint64
-	Forwards       uint64 // loads fully satisfied from the store queue
-	PartialMerges  uint64 // loads merging store and cache bytes
 	Violations     uint64 // true-dependence violations detected
 	SilentSquelch  uint64 // would-be violations squelched by value equality
 	DispatchStalls uint64
@@ -159,11 +157,6 @@ func (q *LSQ) ExecuteLoad(seq seqnum.Seq, addr uint64, size int, memRead MemRead
 	e.addr = addr
 	e.size = size
 	e.value = val
-	if all {
-		q.Forwards++
-	} else if any {
-		q.PartialMerges++
-	}
 	return LoadResult{Value: val, Forwarded: all, Partial: any && !all}, nil
 }
 

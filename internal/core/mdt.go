@@ -105,10 +105,6 @@ type MDT struct {
 	// counterpart of the LSQ's CAM-activity proxy (at most Ways per
 	// access, independent of occupancy).
 	EntriesSearched uint64
-	TrueViols       uint64
-	AntiViols       uint64
-	OutputViols     uint64
-	EntriesFreed    uint64
 	Occupied        int // currently valid entries
 }
 
@@ -348,7 +344,6 @@ func (m *MDT) antiViolation(e *mdtEntry, seq seqnum.Seq, pc uint64) *Violation {
 	if m.TrueOnly || !e.storeValid || !seqnum.Before(seq, e.storeSeq) {
 		return nil
 	}
-	m.AntiViols++
 	return &Violation{
 		Kind:         AntiViolation,
 		ProducerPC:   pc,
@@ -365,7 +360,6 @@ func (m *MDT) trueViolation(e *mdtEntry, seq seqnum.Seq, pc uint64) *Violation {
 	if !e.loadValid || !seqnum.Before(seq, e.loadSeq) {
 		return nil
 	}
-	m.TrueViols++
 	v := &Violation{
 		Kind:         TrueViolation,
 		ProducerPC:   pc,
@@ -390,7 +384,6 @@ func (m *MDT) storeViolation(e *mdtEntry, seq seqnum.Seq, pc uint64) *Violation 
 		return v
 	}
 	if !m.TrueOnly && e.storeValid && seqnum.Before(seq, e.storeSeq) {
-		m.OutputViols++
 		return &Violation{
 			Kind:         OutputViolation,
 			ProducerPC:   pc,
@@ -480,7 +473,6 @@ func (m *MDT) RetireLoad(seq seqnum.Seq, addr uint64, size int) bool {
 		if !e.loadValid && !e.storeValid {
 			e.valid = false
 			m.Occupied--
-			m.EntriesFreed++
 			freed = true
 		}
 	}
@@ -502,7 +494,6 @@ func (m *MDT) RetireStore(seq seqnum.Seq, addr uint64, size int) bool {
 		if !e.loadValid && !e.storeValid {
 			e.valid = false
 			m.Occupied--
-			m.EntriesFreed++
 			freed = true
 		}
 	}
@@ -525,9 +516,5 @@ func (m *MDT) Reset() {
 	m.Conflicts = 0
 	m.Reclaimed = 0
 	m.EntriesSearched = 0
-	m.TrueViols = 0
-	m.AntiViols = 0
-	m.OutputViols = 0
-	m.EntriesFreed = 0
 	m.Occupied = 0
 }

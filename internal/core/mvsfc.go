@@ -30,11 +30,6 @@ type MVSFC struct {
 	// Stats.
 	StoreWrites      uint64
 	StoreConflicts   uint64 // set or version-capacity conflicts
-	LoadLookups      uint64
-	LoadFull         uint64
-	LoadPartial      uint64
-	LoadMiss         uint64
-	EntriesFreed     uint64
 	Reclaimed        uint64
 	EntriesSearched  uint64 // ways examined
 	VersionsSearched uint64 // versions examined (the renaming cost)
@@ -226,12 +221,10 @@ func (s *MVSFC) versionFor(e *mvEntry, seq seqnum.Seq) *mvVersion {
 // LoadRead assembles, per requested byte, the youngest version strictly
 // older than the load — the renaming read.
 func (s *MVSFC) LoadRead(seq seqnum.Seq, addr uint64, size int) SFCReadResult {
-	s.LoadLookups++
 	word := addr >> 3
 	off := addr & 7
 	e := s.lookup(word, false)
 	if e == nil {
-		s.LoadMiss++
 		return SFCReadResult{Status: SFCMiss}
 	}
 	var res SFCReadResult
@@ -256,13 +249,10 @@ func (s *MVSFC) LoadRead(seq seqnum.Seq, addr uint64, size int) SFCReadResult {
 	switch {
 	case res.ValidMask == 0:
 		res.Status = SFCMiss
-		s.LoadMiss++
 	case res.ValidMask == want:
 		res.Status = SFCFull
-		s.LoadFull++
 	default:
 		res.Status = SFCPartial
-		s.LoadPartial++
 	}
 	return res
 }
@@ -283,7 +273,6 @@ func (s *MVSFC) RetireStore(seq seqnum.Seq, addr uint64) bool {
 	if len(e.versions) == 0 {
 		e.valid = false
 		s.Occupied--
-		s.EntriesFreed++
 		return true
 	}
 	return false
@@ -308,7 +297,6 @@ func (s *MVSFC) SquashFrom(from seqnum.Seq) {
 		if len(e.versions) == 0 {
 			e.valid = false
 			s.Occupied--
-			s.EntriesFreed++
 		}
 	}
 }

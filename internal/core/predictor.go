@@ -124,12 +124,9 @@ type Predictor struct {
 	WakeHook func(TagID)
 
 	// Stats.
-	Violations     uint64
-	SetsAllocated  uint64
-	SetMerges      uint64
-	TagsAllocated  uint64
-	TagStalls      uint64 // dispatch stalls due to tag-pool exhaustion
-	ConsumesWaited uint64
+	Violations uint64
+	SetMerges  uint64
+	TagStalls  uint64 // dispatch stalls due to tag-pool exhaustion
 }
 
 // NewPredictor builds a predictor.
@@ -239,7 +236,6 @@ func (p *Predictor) allocTag() (TagID, bool) {
 	p.freeTags = p.freeTags[:n-1]
 	p.tags[tag] = tagState{refs: 1, ready: false} // producer reference
 	p.tagSlot[tag] = -1
-	p.TagsAllocated++
 	return tag, true
 }
 
@@ -359,7 +355,6 @@ func (p *Predictor) allocSet() uint32 {
 	if p.nextSet > uint32(p.cfg.NumSets) {
 		p.nextSet = 1 // recycle ids; stale PT/CT entries just alias
 	}
-	p.SetsAllocated++
 	return p.nextSet
 }
 

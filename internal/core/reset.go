@@ -20,14 +20,8 @@ func (s *SFC) Reset() {
 	s.windows = s.windows[:0]
 	s.StoreWrites = 0
 	s.StoreConflicts = 0
-	s.LoadLookups = 0
-	s.LoadFull = 0
-	s.LoadPartial = 0
-	s.LoadCorrupt = 0
-	s.LoadMiss = 0
 	s.EntriesSearched = 0
 	s.Corruptions = 0
-	s.EntriesFreed = 0
 	s.Reclaimed = 0
 	s.WindowsMerged = 0
 	s.Occupied = 0
@@ -45,11 +39,6 @@ func (s *MVSFC) Reset() {
 	s.bound = 0
 	s.StoreWrites = 0
 	s.StoreConflicts = 0
-	s.LoadLookups = 0
-	s.LoadFull = 0
-	s.LoadPartial = 0
-	s.LoadMiss = 0
-	s.EntriesFreed = 0
 	s.Reclaimed = 0
 	s.EntriesSearched = 0
 	s.VersionsSearched = 0
@@ -93,10 +82,7 @@ func (p *Predictor) ResetFor(cfg PredictorConfig) bool {
 	}
 	p.nextSet = 0
 	p.Violations = 0
-	p.SetsAllocated = 0
 	p.SetMerges = 0
-	p.TagsAllocated = 0
 	p.TagStalls = 0
-	p.ConsumesWaited = 0
 	return true
 }

@@ -119,16 +119,10 @@ type SFC struct {
 	// Stats.
 	StoreWrites    uint64
 	StoreConflicts uint64
-	LoadLookups    uint64
-	LoadFull       uint64
-	LoadPartial    uint64
-	LoadCorrupt    uint64
-	LoadMiss       uint64
 	// EntriesSearched counts ways examined per address-indexed access; a
 	// memoized last-way hit examines exactly one.
 	EntriesSearched uint64
 	Corruptions     uint64 // partial-flush corruption events
-	EntriesFreed    uint64
 	Reclaimed       uint64
 	WindowsMerged   uint64 // flush windows retired by a corruption sweep
 	Occupied        int
@@ -304,21 +298,17 @@ type SFCReadResult struct {
 
 // LoadRead performs a load's address-indexed lookup.
 func (s *SFC) LoadRead(addr uint64, size int) SFCReadResult {
-	s.LoadLookups++
 	word := addr >> 3
 	off := addr & 7
 	e := s.lookup(word, false)
 	want := byteMask(off, size)
 	if e == nil || e.validMask&want == 0 {
 		if e != nil && e.corrupt&want != 0 {
-			s.LoadCorrupt++
 			return SFCReadResult{Status: SFCCorrupt}
 		}
-		s.LoadMiss++
 		return SFCReadResult{Status: SFCMiss}
 	}
 	if e.corrupt&want != 0 {
-		s.LoadCorrupt++
 		return SFCReadResult{Status: SFCCorrupt}
 	}
 	if s.cfg.FlushEndpoints > 0 {
@@ -331,7 +321,6 @@ func (s *SFC) LoadRead(addr uint64, size int) SFCReadResult {
 			w := e.byteWriter[off+uint64(i)]
 			for _, fw := range s.windows {
 				if seqnum.Between(w, fw.lo, fw.hi) {
-					s.LoadCorrupt++
 					return SFCReadResult{Status: SFCCorrupt}
 				}
 			}
@@ -344,10 +333,8 @@ func (s *SFC) LoadRead(addr uint64, size int) SFCReadResult {
 	}
 	if e.validMask&want == want {
 		res.Status = SFCFull
-		s.LoadFull++
 	} else {
 		res.Status = SFCPartial
-		s.LoadPartial++
 	}
 	return res
 }
@@ -436,6 +423,5 @@ func (s *SFC) RetireStore(seq seqnum.Seq, addr uint64) bool {
 	e.validMask = 0
 	e.corrupt = 0
 	s.Occupied--
-	s.EntriesFreed++
 	return true
 }

@@ -50,12 +50,11 @@ var (
 // BaselineConfig returns the paper's Figure 4 baseline superscalar: 4-wide,
 // 128-entry window, 4K-set 2-way MDT, 128-set 2-way SFC.
 func BaselineConfig(v Variant, maxInsts uint64) pipeline.Config {
-	cfg := pipeline.Config{
+	return pipeline.Config{
 		Name:          "baseline/" + v.Label,
 		Width:         4,
 		FetchBranches: 1,
 		ROBSize:       128,
-		NumFUs:        4,
 		MemSys:        v.Kind,
 		LSQ:           core.LSQConfig{LoadEntries: max(v.LQ, 1), StoreEntries: max(v.SQ, 1)},
 		MDT:           core.MDTConfig{Sets: 4 << 10, Ways: 2, GranBytes: 8, Tagged: true},
@@ -63,11 +62,7 @@ func BaselineConfig(v Variant, maxInsts uint64) pipeline.Config {
 		MVSFC:         core.MVSFCConfig{Sets: 128, Ways: 2, Versions: 4},
 		Pred:          core.DefaultPredictorConfig(v.Pred),
 		MaxInsts:      maxInsts,
-
-		SFCTagCheckExtra: 1,
-		MDTViolExtra:     1,
 	}
-	return cfg
 }
 
 // AggressiveConfig returns the Figure 4 aggressive superscalar: 8-wide,
@@ -78,7 +73,6 @@ func AggressiveConfig(v Variant, maxInsts uint64) pipeline.Config {
 	cfg.Width = 8
 	cfg.FetchBranches = 8
 	cfg.ROBSize = 1024
-	cfg.NumFUs = 8
 	cfg.MDT = core.MDTConfig{Sets: 8 << 10, Ways: 2, GranBytes: 8, Tagged: true}
 	cfg.SFC = core.SFCConfig{Sets: 512, Ways: 2}
 	cfg.MVSFC = core.MVSFCConfig{Sets: 512, Ways: 2, Versions: 4}

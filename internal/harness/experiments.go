@@ -41,15 +41,6 @@ func classAverages(t *Table, ws []workload.Workload, cols [][]float64, fmtCell f
 func Figure4() *Table {
 	b := BaselineConfig(MDTSFCEnf, 1)
 	a := AggressiveConfig(MDTSFCTotal, 1)
-	// These are the harness's own canonical configurations; failing to
-	// validate is a programming error, not a runtime condition, so panic
-	// rather than render a table of half-defaulted parameters.
-	if err := b.Validate(); err != nil {
-		panic(fmt.Sprintf("harness: Figure4 baseline config invalid: %v", err))
-	}
-	if err := a.Validate(); err != nil {
-		panic(fmt.Sprintf("harness: Figure4 aggressive config invalid: %v", err))
-	}
 	t := &Table{
 		Title:  "Figure 4: simulator parameters",
 		Header: []string{"Parameter", "Baseline", "Aggressive"},
@@ -58,13 +49,14 @@ func Figure4() *Table {
 	t.AddRow("Fetch bandwidth", fmt.Sprintf("max %d branch/cycle", b.FetchBranches), fmt.Sprintf("up to %d branches/cycle", a.FetchBranches))
 	t.AddRow("Branch predictor", "8Kbit gshare + 80% oracle", "8Kbit gshare + 80% oracle")
 	t.AddRow("Mem dep predictor", "16K PT/CT, 4K ids, 512 LFPT", "16K PT/CT, 4K ids, 512 LFPT")
-	t.AddRow("Mispredict penalty", fmt.Sprintf("%d cycles", b.MispredictPenalty), fmt.Sprintf("%d cycles", a.MispredictPenalty))
+	penalty := fmt.Sprintf("%d cycles", pipeline.MispredictPenalty)
+	t.AddRow("Mispredict penalty", penalty, penalty)
 	t.AddRow("MDT", fmt.Sprintf("%d sets, %d-way", b.MDT.Sets, b.MDT.Ways), fmt.Sprintf("%d sets, %d-way", a.MDT.Sets, a.MDT.Ways))
 	t.AddRow("SFC", fmt.Sprintf("%d sets, %d-way", b.SFC.Sets, b.SFC.Ways), fmt.Sprintf("%d sets, %d-way", a.SFC.Sets, a.SFC.Ways))
 	t.AddRow("Renamer checkpoints", fmt.Sprintf("%d", b.ROBSize), fmt.Sprintf("%d", a.ROBSize))
 	t.AddRow("Scheduling window", fmt.Sprintf("%d entries", b.ROBSize), fmt.Sprintf("%d entries", a.ROBSize))
 	t.AddRow("Reorder buffer", fmt.Sprintf("%d entries", b.ROBSize), fmt.Sprintf("%d entries", a.ROBSize))
-	t.AddRow("Function units", fmt.Sprintf("%d fully pipelined", b.NumFUs), fmt.Sprintf("%d fully pipelined", a.NumFUs))
+	t.AddRow("Function units", fmt.Sprintf("%d fully pipelined", b.Width), fmt.Sprintf("%d fully pipelined", a.Width))
 	t.AddRow("L1 I-cache", "8KB 2-way 128B, 10-cycle miss", "same")
 	t.AddRow("L1 D-cache", "8KB 4-way 64B, 10-cycle miss", "same")
 	t.AddRow("L2 cache", "512KB 8-way 128B, 100-cycle miss", "same")

@@ -8,7 +8,7 @@ import (
 
 func TestSparseZeroDefault(t *testing.T) {
 	m := NewSparse()
-	if m.ByteAt(0xdeadbeef) != 0 || m.Read(1<<40, 8) != 0 {
+	if m.ByteAt(0xdeadbeef) != 0 || m.ReadUint(1<<40, 8) != 0 {
 		t.Error("unmapped memory must read as zero")
 	}
 	if m.Pages() != 0 {
@@ -16,19 +16,19 @@ func TestSparseZeroDefault(t *testing.T) {
 	}
 }
 
-// Property: Read(Write(v)) == v for all sizes and addresses, including
+// Property: ReadUint(WriteUint(v)) == v for all sizes and addresses, including
 // across page boundaries.
 func TestSparseRoundtrip(t *testing.T) {
 	m := NewSparse()
 	f := func(addr uint64, v uint64, szSel uint8) bool {
 		size := []int{1, 2, 4, 8}[szSel%4]
 		addr &= 1<<48 - 1
-		m.Write(addr, size, v)
+		m.WriteUint(addr, size, v)
 		want := v
 		if size < 8 {
 			want &= 1<<(8*size) - 1
 		}
-		return m.Read(addr, size) == want
+		return m.ReadUint(addr, size) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -38,8 +38,8 @@ func TestSparseRoundtrip(t *testing.T) {
 func TestSparsePageBoundary(t *testing.T) {
 	m := NewSparse()
 	addr := uint64(pageSize - 3)
-	m.Write(addr, 8, 0x0102030405060708)
-	if got := m.Read(addr, 8); got != 0x0102030405060708 {
+	m.WriteUint(addr, 8, 0x0102030405060708)
+	if got := m.ReadUint(addr, 8); got != 0x0102030405060708 {
 		t.Fatalf("cross-page read: %#x", got)
 	}
 	if m.Pages() != 2 {
@@ -52,19 +52,19 @@ func TestSparsePageBoundary(t *testing.T) {
 func TestSparseWrapAtTop(t *testing.T) {
 	m := NewSparse()
 	top := ^uint64(0) // last byte of the address space
-	m.Write(top, 2, 0xBEEF)
+	m.WriteUint(top, 2, 0xBEEF)
 	if got := m.ByteAt(top); got != 0xEF {
 		t.Errorf("byte at top: %#x", got)
 	}
 	if got := m.ByteAt(0); got != 0xBE {
 		t.Errorf("byte at 0 after wrap: %#x", got)
 	}
-	if got := m.Read(top, 2); got != 0xBEEF {
+	if got := m.ReadUint(top, 2); got != 0xBEEF {
 		t.Errorf("wrapping read: %#x", got)
 	}
 	// An 8-byte access starting near the top wraps the same way.
-	m.Write(top-2, 8, 0x0807060504030201)
-	if got := m.Read(top-2, 8); got != 0x0807060504030201 {
+	m.WriteUint(top-2, 8, 0x0807060504030201)
+	if got := m.ReadUint(top-2, 8); got != 0x0807060504030201 {
 		t.Errorf("wrapping word read: %#x", got)
 	}
 	if got := m.ByteAt(4); got != 0x08 {

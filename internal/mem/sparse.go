@@ -197,15 +197,6 @@ func (m *Sparse) writeSlow(addr uint64, size int, v uint64) {
 	}
 }
 
-// Read returns size bytes at addr as a little-endian unsigned integer.
-// size must be in [1, 8]; accesses wrapping the top of the address space
-// wrap explicitly (see the package comment).
-func (m *Sparse) Read(addr uint64, size int) uint64 { return m.ReadUint(addr, size) }
-
-// Write stores the low size bytes of v at addr, little-endian, with the
-// same wrap semantics as Read.
-func (m *Sparse) Write(addr uint64, size int, v uint64) { m.WriteUint(addr, size, v) }
-
 // ReadInto fills dst with the bytes starting at addr, one page-chunked copy
 // at a time.
 func (m *Sparse) ReadInto(addr uint64, dst []byte) {

@@ -17,7 +17,6 @@ import (
 
 	"sfcmdt/internal/bpred"
 	"sfcmdt/internal/core"
-	"sfcmdt/internal/mem"
 	"sfcmdt/internal/prefetch"
 )
 
@@ -62,42 +61,47 @@ type RecoveryOptions struct {
 	// CorruptOnOutput (§2.4.2): on an output violation, poison the SFC
 	// entry instead of flushing the pipeline.
 	CorruptOnOutput bool
-	// PreciseCorruption marks the SFC corrupt on a partial flush only when
-	// the flush actually canceled a completed, unretired store (an
-	// idealization; the paper's hardware corrupts on every partial flush).
-	PreciseCorruption bool
 }
 
-// Config describes one processor configuration.
+// Figure 4 gives every processor configuration the same timing, so these
+// are constants rather than Config fields.
+const (
+	// MispredictPenalty is the redirect-to-fetch penalty in cycles.
+	MispredictPenalty = 8
+
+	frontEndDepth = 3 // cycles from fetch to earliest dispatch
+
+	// Function-unit latencies: integer ALU (also branches and jumps),
+	// multiply, divide, and address generation ahead of every memory
+	// access.
+	intLat, mulLat, divLat, aguLat = 1, 4, 12, 1
+
+	bypassLat        = 1 // LSQ single-cycle store-to-load bypass
+	sfcTagCheckExtra = 1 // +1 cycle store latency with the SFC (§3)
+	mdtViolExtra     = 1 // +1 cycle violation penalty with the MDT (§3)
+)
+
+// Config describes one processor configuration: the values the paper's
+// evaluation varies. The cache hierarchy is mem.DefaultHierarchy's.
 type Config struct {
 	Name string
 
-	// Widths and capacities (Figure 4).
-	Width         int // fetch/dispatch/retire width (instructions/cycle)
+	// Widths and capacities (Figure 4). Width is the fetch, dispatch,
+	// issue and retire width, and so the number of identical, fully
+	// pipelined function units; the fetch queue holds 4×Width.
+	Width         int
 	FetchBranches int // max conditional branches fetched per cycle
-	ROBSize       int // reorder buffer = scheduling window entries
-	NumFUs        int // identical, fully pipelined function units (issue width)
+	ROBSize       int // reorder buffer = scheduling window = store FIFO entries
 	MemPorts      int // memory-unit issues per cycle (0 = unlimited, the
 	// paper's idealization); a finite value makes replay storms consume
 	// real issue bandwidth
-	FetchQueueCap int // fetched-but-not-dispatched buffer
-	FrontEndDepth int // cycles from fetch to earliest dispatch
-
-	// Latencies.
-	MispredictPenalty int // redirect-to-fetch penalty
-	IntLat, MulLat    int
-	DivLat, AGULat    int
-	BypassLat         int // LSQ single-cycle store-to-load bypass
-	SFCTagCheckExtra  int // +1 cycle store latency with the SFC (§3)
-	MDTViolExtra      int // +1 cycle violation penalty with the MDT (§3)
 
 	// Memory subsystem.
-	MemSys       MemSysKind
-	LSQ          core.LSQConfig
-	MDT          core.MDTConfig
-	SFC          core.SFCConfig
-	MVSFC        core.MVSFCConfig
-	StoreFIFOCap int
+	MemSys MemSysKind
+	LSQ    core.LSQConfig
+	MDT    core.MDTConfig
+	SFC    core.SFCConfig
+	MVSFC  core.MVSFCConfig
 
 	// ReplayOnPartial drops loads that partially match the SFC instead of
 	// merging the missing bytes from the cache (§2.3 allows either).
@@ -123,12 +127,8 @@ type Config struct {
 	Prefetch prefetch.Config
 	Preprobe core.AddrPredConfig
 
-	// Memory hierarchy.
-	Hier mem.HierarchyConfig
-
-	// Run limits.
-	MaxInsts  uint64 // dynamic correct-path instruction budget
-	MaxCycles uint64 // deadlock guard; 0 = derived from MaxInsts
+	// MaxInsts is the dynamic correct-path instruction budget.
+	MaxInsts uint64
 
 	// noElide disables idle-cycle elision: the run loop steps every cycle
 	// individually instead of jumping over provably quiescent spans. It is
@@ -144,42 +144,23 @@ type Config struct {
 	// is implicitly off under it, since the quiescence predicate does not
 	// model its per-cycle re-polling.
 	linearScan bool
+
+	// maxCycles overrides the deadlock guard's cycle limit, which is
+	// otherwise derived from MaxInsts when a pipeline is reset; the
+	// package's watchdog elision test sets it.
+	maxCycles uint64
 }
+
+// fetchQueueCap is the fetched-but-not-dispatched buffer's capacity.
+func (c *Config) fetchQueueCap() int { return 4 * c.Width }
 
 // Validate fills defaults and checks consistency.
 func (c *Config) Validate() error {
 	if c.Width <= 0 || c.ROBSize <= 0 {
 		return fmt.Errorf("pipeline: width %d / ROB %d must be positive", c.Width, c.ROBSize)
 	}
-	if c.NumFUs <= 0 {
-		c.NumFUs = c.Width
-	}
 	if c.FetchBranches <= 0 {
 		c.FetchBranches = 1
-	}
-	if c.FetchQueueCap <= 0 {
-		c.FetchQueueCap = 4 * c.Width
-	}
-	if c.FrontEndDepth <= 0 {
-		c.FrontEndDepth = 3
-	}
-	if c.MispredictPenalty <= 0 {
-		c.MispredictPenalty = 8
-	}
-	if c.IntLat <= 0 {
-		c.IntLat = 1
-	}
-	if c.MulLat <= 0 {
-		c.MulLat = 4
-	}
-	if c.DivLat <= 0 {
-		c.DivLat = 12
-	}
-	if c.AGULat <= 0 {
-		c.AGULat = 1
-	}
-	if c.BypassLat <= 0 {
-		c.BypassLat = 1
 	}
 	switch c.MemSys {
 	case MemLSQ, MemValueReplay:
@@ -193,9 +174,6 @@ func (c *Config) Validate() error {
 		if err := c.SFC.Validate(); err != nil {
 			return err
 		}
-		if c.StoreFIFOCap <= 0 {
-			c.StoreFIFOCap = c.ROBSize
-		}
 	case MemMVSFC:
 		if err := c.MDT.Validate(); err != nil {
 			return err
@@ -203,14 +181,8 @@ func (c *Config) Validate() error {
 		if err := c.MVSFC.Validate(); err != nil {
 			return err
 		}
-		if c.StoreFIFOCap <= 0 {
-			c.StoreFIFOCap = c.ROBSize
-		}
 	default:
 		return fmt.Errorf("pipeline: unknown memory subsystem %d", c.MemSys)
-	}
-	if c.Hier.L1I.SizeBytes == 0 {
-		c.Hier = mem.DefaultHierarchy()
 	}
 	if c.BPred.Bits == 0 && c.BPred.Kind == bpred.KindGshare {
 		c.BPred = bpred.DefaultConfig()
@@ -220,7 +192,7 @@ func (c *Config) Validate() error {
 		// The TAGE snapshot ring must cover every token the pipeline can
 		// hold live: one per in-flight instruction (ROB + fetch queue),
 		// plus slack for the checkpoint taken before the oldest.
-		if need := c.ROBSize + c.FetchQueueCap + 8; c.BPred.SpecDepth < need {
+		if need := c.ROBSize + c.fetchQueueCap() + 8; c.BPred.SpecDepth < need {
 			p := 1
 			for p < need {
 				p *= 2
@@ -232,9 +204,6 @@ func (c *Config) Validate() error {
 	c.Preprobe = c.Preprobe.WithDefaults()
 	if c.MaxInsts == 0 {
 		c.MaxInsts = 200_000
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 400*c.MaxInsts + 2_000_000
 	}
 	return nil
 }

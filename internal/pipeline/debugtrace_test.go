@@ -18,12 +18,12 @@ func TestDebugTrace(t *testing.T) {
 		t.Fatal("gzip workload missing")
 	}
 	cfg := Config{
-		Name: "debug-trace", Width: 4, FetchBranches: 1, ROBSize: 128, NumFUs: 4,
+		Name: "debug-trace", Width: 4, FetchBranches: 1, ROBSize: 128,
 		MemSys:   MemMDTSFC,
 		MDT:      core.MDTConfig{Sets: 4 << 10, Ways: 2, GranBytes: 8, Tagged: true},
 		SFC:      core.SFCConfig{Sets: 128, Ways: 2},
 		Pred:     core.DefaultPredictorConfig(core.PredPairwise),
-		MaxInsts: 3000, SFCTagCheckExtra: 1, MDTViolExtra: 1,
+		MaxInsts: 3000,
 	}
 	p, err := New(cfg, w.Build())
 	if err != nil {

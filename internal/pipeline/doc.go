@@ -19,7 +19,7 @@
 //     their MDT/SFC retirement hooks. The value-replay subsystem performs
 //     its retirement-time re-read here, before validation, and may itself
 //     trigger recovery.
-//  3. issue — the scheduler issues up to NumFUs ready instructions
+//  3. issue — the scheduler issues up to Width ready instructions
 //     oldest-first. It is wakeup-driven, not a ROB scan: writebacks,
 //     dependence-tag wakeups and stall-bit clearing arm a ready bitset
 //     over ROB slots, and issue walks only its set bits. Memory

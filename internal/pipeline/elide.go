@@ -46,7 +46,7 @@ package pipeline
 // Cycles += n, OccupancySum += n*r, MaxOccupancy unchanged (r was already
 // applied on the last stepped cycle), one dispatch stall counter += n, and
 // CyclesElided += n. The watchdogs in checkWatchdogs fire at exact cycle
-// values, so the jump is additionally capped at MaxCycles and at the
+// values, so the jump is additionally capped at the cycle limit and at the
 // no-retirement deadline: a deadlocked quiescent machine fails on the same
 // cycle, with the same error text, as under the stepped oracle.
 
@@ -137,7 +137,7 @@ func (p *Pipeline) quiesce() (until uint64, stall elideStall, ok bool) {
 		if p.fetchStallUntil < until {
 			until = p.fetchStallUntil
 		}
-	case p.fq.len() >= p.cfg.FetchQueueCap:
+	case p.fq.len() >= p.cfg.fetchQueueCap():
 	default:
 		return 0, 0, false // fetch would access the I-cache
 	}
@@ -158,8 +158,8 @@ func (p *Pipeline) tryElide() {
 	}
 	// Cap at the watchdog deadlines so a deadlocked span fails on the same
 	// cycle, with the same message, as the stepped loop.
-	if p.cfg.MaxCycles < target {
-		target = p.cfg.MaxCycles
+	if p.cfg.maxCycles < target {
+		target = p.cfg.maxCycles
 	}
 	if w := p.lastRetireCycle + noRetireCycles + 1; w < target {
 		target = w

@@ -109,7 +109,7 @@ func TestElideEquivalencePtrChase(t *testing.T) {
 // — the jump lands exactly on the deadline instead of sailing past it.
 func TestElideWatchdogEquivalence(t *testing.T) {
 	cfg := testConfigs(40_000)[0]
-	cfg.MaxCycles = 5_000 // well inside the chase: trips mid-run
+	cfg.maxCycles = 5_000 // well inside the chase: trips mid-run
 
 	oracleCfg := cfg
 	oracleCfg.noElide = true

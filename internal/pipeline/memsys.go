@@ -63,10 +63,9 @@ type memSystem interface {
 	squashFrom(from seqnum.Seq)
 
 	// onPartialFlush runs after a pipeline flush of the sequence-number
-	// window [lo, hi]. canceledSFCStore reports whether the flush
-	// squashed a store whose bytes are in the SFC; liveSFCStores is the
-	// number of surviving stores with SFC-resident bytes.
-	onPartialFlush(lo, hi seqnum.Seq, canceledSFCStore bool, liveSFCStores int)
+	// window [lo, hi]; liveSFCStores is the number of surviving stores
+	// with SFC-resident bytes.
+	onPartialFlush(lo, hi seqnum.Seq, liveSFCStores int)
 }
 
 // ---------------------------------------------------------------------------
@@ -82,7 +81,7 @@ type mdtFIFO struct {
 }
 
 func newMDTFIFO(p *Pipeline, trueOnly bool) mdtFIFO {
-	m := mdtFIFO{p: p, mdt: core.NewMDT(p.cfg.MDT), fifo: core.NewStoreFIFO(p.cfg.StoreFIFOCap)}
+	m := mdtFIFO{p: p, mdt: core.NewMDT(p.cfg.MDT), fifo: core.NewStoreFIFO(p.cfg.ROBSize)}
 	m.mdt.TrueOnly = trueOnly
 	m.mdt.SingleLoadOpt = p.cfg.Recovery.SingleLoadOpt
 	return m
@@ -92,7 +91,7 @@ func newMDTFIFO(p *Pipeline, trueOnly bool) mdtFIFO {
 // reports false when its geometry no longer matches p's configuration. The
 // MDT keeps the TrueOnly policy it was built with.
 func (m *mdtFIFO) reset(p *Pipeline) bool {
-	if m.mdt.Config() != p.cfg.MDT || m.fifo.Cap() != p.cfg.StoreFIFOCap {
+	if m.mdt.Config() != p.cfg.MDT || m.fifo.Cap() != p.cfg.ROBSize {
 		return false
 	}
 	m.p = p
@@ -133,7 +132,7 @@ func (m *mdtFIFO) bypassStore(e *entry) memOutcome {
 	p.memory.WriteUint(e.memAddr, e.memSize, e.memVal)
 	// It must still check for younger loads that executed too early with a
 	// stale value (read-only MDT probe).
-	return memOutcome{latency: p.cfg.AGULat, violation: m.mdt.CheckStoreAtHead(e.seq, e.pc, e.memAddr, e.memSize)}
+	return memOutcome{latency: aguLat, violation: m.mdt.CheckStoreAtHead(e.seq, e.pc, e.memAddr, e.memSize)}
 }
 
 // forward completes a load from its SFC read: a full match forwards, a
@@ -147,15 +146,15 @@ func (m *mdtFIFO) forward(e *entry, sres core.SFCReadResult) memOutcome {
 		// available at L1-hit time regardless of cache state.
 		p.demandLoadLatency(e.pc, e.memAddr) // keep cache tag state warm
 		p.stats.SFCForwards++
-		return memOutcome{value: sres.Word, latency: p.cfg.AGULat + p.hier.Config().L1HitCycles, forwarded: true}
+		return memOutcome{value: sres.Word, latency: aguLat + p.hier.Config().L1HitCycles, forwarded: true}
 	case core.SFCPartial:
 		// One word read, one masked merge.
-		lat := p.cfg.AGULat + p.demandLoadLatency(e.pc, e.memAddr)
+		lat := aguLat + p.demandLoadLatency(e.pc, e.memAddr)
 		memv := p.memory.ReadUint(e.memAddr, e.memSize)
 		p.stats.SFCPartialMerges++
 		return memOutcome{value: sres.Word | memv&^core.ExpandByteMask(sres.ValidMask), latency: lat}
 	default: // SFCMiss
-		lat := p.cfg.AGULat + p.demandLoadLatency(e.pc, e.memAddr)
+		lat := aguLat + p.demandLoadLatency(e.pc, e.memAddr)
 		return memOutcome{value: p.memory.ReadUint(e.memAddr, e.memSize), latency: lat}
 	}
 }
@@ -175,7 +174,7 @@ func (m *mdtFIFO) squashFrom(from seqnum.Seq) { m.fifo.SquashFrom(from) }
 
 // Only the single-version SFC reacts to partial flushes; mdtSFCSystem
 // overrides this.
-func (m *mdtFIFO) onPartialFlush(seqnum.Seq, seqnum.Seq, bool, int) {}
+func (m *mdtFIFO) onPartialFlush(seqnum.Seq, seqnum.Seq, int) {}
 
 // ---------------------------------------------------------------------------
 // MDT + SFC + store FIFO memory subsystem (the paper's design).
@@ -226,7 +225,7 @@ func (m *mdtSFCSystem) executeLoad(e *entry, head bool) memOutcome {
 	if anti != nil {
 		// Anti-dependence violation: the load itself will be flushed; no
 		// value matters.
-		return memOutcome{violation: anti, latency: p.cfg.AGULat + p.cfg.IntLat}
+		return memOutcome{violation: anti, latency: aguLat + intLat}
 	}
 	sres := m.sfc.LoadRead(e.memAddr, e.memSize)
 	switch {
@@ -255,7 +254,7 @@ func (m *mdtSFCSystem) executeStore(e *entry, head bool) memOutcome {
 	if res.Conflict {
 		return memOutcome{replay: true, cause: replayMDTConflict}
 	}
-	out := memOutcome{latency: p.cfg.AGULat + p.cfg.SFCTagCheckExtra}
+	out := memOutcome{latency: aguLat + sfcTagCheckExtra}
 	if res.Violation != nil {
 		if res.Violation.Kind == core.OutputViolation && p.cfg.Recovery.CorruptOnOutput {
 			// §2.4.2: poison the entry instead of flushing; the normal
@@ -297,18 +296,13 @@ func (m *mdtSFCSystem) retireStore(e *entry) (uint64, int, uint64, bool, error) 
 	return addr, size, val, freed, nil
 }
 
-func (m *mdtSFCSystem) onPartialFlush(lo, hi seqnum.Seq, canceledSFCStore bool, liveSFCStores int) {
+func (m *mdtSFCSystem) onPartialFlush(lo, hi seqnum.Seq, liveSFCStores int) {
 	if liveSFCStores == 0 {
 		// No completed unretired stores remain: every SFC-resident value
 		// either belongs to a retired store (already freed) or a canceled
 		// one, so the SFC can be flushed wholesale (§2.3 full-flush rule).
 		m.sfc.Flush()
 		m.p.stats.FullSFCFlushes++
-		return
-	}
-	if m.p.cfg.Recovery.PreciseCorruption && !canceledSFCStore {
-		// Idealized variant: no canceled store ever wrote the SFC, so no
-		// corruption is possible.
 		return
 	}
 	m.sfc.RecordPartialFlush(lo, hi)
@@ -350,9 +344,9 @@ func (m *lsqSystem) executeLoad(e *entry, head bool) memOutcome {
 		p.fail(err)
 		return memOutcome{}
 	}
-	lat := p.cfg.AGULat
+	lat := aguLat
 	if res.Forwarded {
-		lat += p.cfg.BypassLat
+		lat += bypassLat
 		p.stats.LSQForwards++
 	} else {
 		lat += p.demandLoadLatency(e.pc, e.memAddr)
@@ -370,7 +364,7 @@ func (m *lsqSystem) executeStore(e *entry, head bool) memOutcome {
 		p.fail(err)
 		return memOutcome{}
 	}
-	return memOutcome{latency: p.cfg.AGULat, violation: viol}
+	return memOutcome{latency: aguLat, violation: viol}
 }
 
 // The LSQ has no set-associative disambiguation state to warm.
@@ -392,7 +386,7 @@ func (m *lsqSystem) retireStore(e *entry) (uint64, int, uint64, bool, error) {
 
 func (m *lsqSystem) squashFrom(from seqnum.Seq) { m.lsq.SquashFrom(from) }
 
-func (m *lsqSystem) onPartialFlush(seqnum.Seq, seqnum.Seq, bool, int) {}
+func (m *lsqSystem) onPartialFlush(seqnum.Seq, seqnum.Seq, int) {}
 
 // ---------------------------------------------------------------------------
 // Value-replay memory subsystem (§4 related work, Cain & Lipasti): the LSQ
@@ -414,7 +408,7 @@ func (m *valueReplaySystem) executeStore(e *entry, head bool) memOutcome {
 		m.p.fail(err)
 		return memOutcome{}
 	}
-	return memOutcome{latency: m.p.cfg.AGULat}
+	return memOutcome{latency: aguLat}
 }
 
 func (m *valueReplaySystem) preRetireLoad(e *entry) *core.Violation {
@@ -478,7 +472,7 @@ func (m *mvSFCSystem) executeStore(e *entry, head bool) memOutcome {
 		panic("pipeline: MVSFC write failed after CanWrite")
 	}
 	m.fifo.Execute(e.seq, e.memAddr, e.memSize, e.memVal)
-	return memOutcome{latency: m.p.cfg.AGULat + m.p.cfg.SFCTagCheckExtra, violation: res.Violation}
+	return memOutcome{latency: aguLat + sfcTagCheckExtra, violation: res.Violation}
 }
 
 func (m *mvSFCSystem) retireStore(e *entry) (uint64, int, uint64, bool, error) {

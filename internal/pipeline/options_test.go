@@ -49,7 +49,6 @@ func mdtsfcConfig(maxInsts uint64) Config {
 		Name:     "opt-test",
 		Width:    8,
 		ROBSize:  256,
-		NumFUs:   8,
 		MemSys:   MemMDTSFC,
 		MDT:      core.MDTConfig{Sets: 512, Ways: 2, GranBytes: 8, Tagged: true},
 		SFC:      core.SFCConfig{Sets: 64, Ways: 2},
@@ -78,8 +77,7 @@ func TestRecoveryOptionMatrix(t *testing.T) {
 		{},
 		{SingleLoadOpt: true},
 		{CorruptOnOutput: true},
-		{PreciseCorruption: true},
-		{SingleLoadOpt: true, CorruptOnOutput: true, PreciseCorruption: true},
+		{SingleLoadOpt: true, CorruptOnOutput: true},
 	}
 	for i, v := range variants {
 		cfg := mdtsfcConfig(25_000)
@@ -175,7 +173,6 @@ func TestTinyMachine(t *testing.T) {
 	cfg := mdtsfcConfig(3_000)
 	cfg.Width = 1
 	cfg.ROBSize = 2
-	cfg.NumFUs = 1
 	runOpt(t, cfg, img)
 }
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"sfcmdt/internal/arch"
@@ -276,6 +277,9 @@ func (p *Pipeline) reset(cfg Config, img *prog.Image, src ReplaySource, st *Star
 		return err
 	}
 	p.cfg = cfg
+	if p.cfg.maxCycles == 0 {
+		p.cfg.maxCycles = 400*cfg.MaxInsts + 2_000_000
+	}
 	p.img = img
 	p.src = src
 	p.srcLen = src.Len()
@@ -296,8 +300,11 @@ func (p *Pipeline) reset(cfg Config, img *prog.Image, src ReplaySource, st *Star
 	} else {
 		arch.LoadMemoryInto(p.memory, img)
 	}
-	if p.hier == nil || p.hier.Config() != cfg.Hier {
-		p.hier = mem.NewHierarchy(cfg.Hier)
+	if p.hier == nil {
+		p.hier = mem.NewHierarchy(mem.DefaultHierarchy())
+		for 1<<p.pfBlockSh < p.hier.Config().L1D.LineBytes {
+			p.pfBlockSh++
+		}
 	} else {
 		p.hier.Reset()
 	}
@@ -319,10 +326,6 @@ func (p *Pipeline) reset(cfg Config, img *prog.Image, src ReplaySource, st *Star
 		p.pfPend[i] = pfPending{}
 	}
 	p.pfPendIdx = 0
-	p.pfBlockSh = 0
-	for 1<<p.pfBlockSh < cfg.Hier.L1D.LineBytes {
-		p.pfBlockSh++
-	}
 	switch {
 	case !cfg.Preprobe.Enabled:
 		p.app = nil
@@ -381,7 +384,7 @@ func (p *Pipeline) reset(cfg Config, img *prog.Image, src ReplaySource, st *Star
 		p.freeEntry(p.rob.at(i))
 	}
 	p.rob.init(cfg.ROBSize)
-	p.fq.init(cfg.FetchQueueCap)
+	p.fq.init(cfg.fetchQueueCap())
 
 	// Wakeup-scheduler state: one ready bit per ROB ring slot, a consumer
 	// list per physical register, a waiter list per dependence tag. The
@@ -423,11 +426,8 @@ func (p *Pipeline) reset(cfg Config, img *prog.Image, src ReplaySource, st *Star
 		e.inWheel = false
 		p.freeEntry(e)
 	}
-	if h := eventHorizon(&p.cfg); p.events == nil || p.events.Horizon() < h {
-		if p.events != nil {
-			p.events.Reset(drain)
-		}
-		p.events = sched.NewWheel[*entry](h)
+	if p.events == nil {
+		p.events = sched.NewWheel[*entry](eventHorizon)
 	} else {
 		p.events.Reset(drain)
 	}
@@ -546,24 +546,13 @@ func (p *Pipeline) fail(err error) {
 // over provably quiescent spans (see elide.go); the two loops are
 // bit-identical in everything but wall time and Stats.CyclesElided.
 func (p *Pipeline) Run() (*metrics.Stats, error) {
-	if !p.elides() {
-		for !p.done {
-			p.step()
-		}
-		return p.finalize(), p.err
-	}
-	for !p.done {
-		p.step()
-		if !p.done {
-			p.tryElide()
-		}
-	}
-	return p.finalize(), p.err
+	return p.run(context.Background(), math.MaxUint64)
 }
 
-// ctxCheckCycles is how often RunContext polls its context: frequent enough
-// that an abandoned request stops consuming a worker within microseconds of
-// wall time, rare enough that the check never shows up in profiles.
+// ctxCheckCycles is how often a cancelable run polls its context: frequent
+// enough that an abandoned request stops consuming a worker within
+// microseconds of wall time, rare enough that the check never shows up in
+// profiles.
 const ctxCheckCycles = 4096
 
 // RunContext simulates like Run but additionally polls ctx roughly every
@@ -575,32 +564,9 @@ const ctxCheckCycles = 4096
 // bit-identical to one on a freshly constructed pipeline.
 //
 // A context that can never be canceled (ctx.Done() == nil, e.g.
-// context.Background()) takes the plain Run path with zero overhead.
+// context.Background()) is never polled.
 func (p *Pipeline) RunContext(ctx context.Context) (*metrics.Stats, error) {
-	if ctx.Done() == nil {
-		return p.Run()
-	}
-	elide := p.elides()
-	check := p.cycle + ctxCheckCycles
-	for !p.done {
-		p.step()
-		if elide && !p.done {
-			p.tryElide()
-		}
-		// One elided jump can cross many poll boundaries; rebasing check on
-		// the post-jump cycle (not check += ctxCheckCycles) keeps the poll
-		// cadence bounded in wall time, which is what cancellation latency
-		// is measured in — an elided span costs no wall time to cross.
-		if p.cycle >= check {
-			check = p.cycle + ctxCheckCycles
-			if err := ctx.Err(); err != nil {
-				p.done = true
-				return p.finalize(), fmt.Errorf("pipeline: %s: run abandoned at cycle %d (retired %d): %w",
-					p.cfg.Name, p.cycle, p.retired, err)
-			}
-		}
-	}
-	return p.finalize(), p.err
+	return p.run(ctx, math.MaxUint64)
 }
 
 // RunUntilRetired simulates until at least n instructions of the bound trace
@@ -610,6 +576,12 @@ func (p *Pipeline) RunContext(ctx context.Context) (*metrics.Stats, error) {
 // Delta at the end to discard detailed-warmup statistics. finalize's counter
 // folds are idempotent assignments, so finalizing mid-run is safe.
 func (p *Pipeline) RunUntilRetired(ctx context.Context, n uint64) (*metrics.Stats, error) {
+	return p.run(ctx, n)
+}
+
+// run is the cycle loop behind Run, RunContext and RunUntilRetired: step,
+// then try elision, until the run ends or n instructions have retired.
+func (p *Pipeline) run(ctx context.Context, n uint64) (*metrics.Stats, error) {
 	poll := ctx.Done() != nil
 	elide := p.elides()
 	check := p.cycle + ctxCheckCycles
@@ -620,6 +592,10 @@ func (p *Pipeline) RunUntilRetired(ctx context.Context, n uint64) (*metrics.Stat
 		if elide && !p.done && uint64(p.retired) < n {
 			p.tryElide()
 		}
+		// One elided jump can cross many poll boundaries; rebasing check on
+		// the post-jump cycle (not check += ctxCheckCycles) keeps the poll
+		// cadence bounded in wall time, which is what cancellation latency
+		// is measured in — an elided span costs no wall time to cross.
 		if poll && p.cycle >= check {
 			check = p.cycle + ctxCheckCycles
 			if err := ctx.Err(); err != nil {
@@ -722,8 +698,8 @@ const noRetireCycles = 500_000
 // deadline. Called with the post-increment cycle value: after every stepped
 // cycle and after every elided jump.
 func (p *Pipeline) checkWatchdogs() {
-	if p.cycle >= p.cfg.MaxCycles {
-		p.fail(fmt.Errorf("cycle limit %d exceeded (possible deadlock; ROB=%d, fq=%d)", p.cfg.MaxCycles, p.rob.len(), p.fq.len()))
+	if p.cycle >= p.cfg.maxCycles {
+		p.fail(fmt.Errorf("cycle limit %d exceeded (possible deadlock; ROB=%d, fq=%d)", p.cfg.maxCycles, p.rob.len(), p.fq.len()))
 	}
 	if p.cycle-p.lastRetireCycle > noRetireCycles {
 		p.fail(fmt.Errorf("no retirement for 500k cycles (deadlock; ROB=%d head=%+v)", p.rob.len(), p.headInfo()))
@@ -792,9 +768,9 @@ func (p *Pipeline) completeEntry(e *entry) {
 				if e.actualTaken {
 					dir = 1
 				}
-				p.recover(e.seq+1, e.actualNext, e.nextTraceIdx(), e.ghrBefore, dir, p.cfg.MispredictPenalty)
+				p.recover(e.seq+1, e.actualNext, e.nextTraceIdx(), e.ghrBefore, dir, MispredictPenalty)
 			} else {
-				p.recover(e.seq+1, e.actualNext, e.nextTraceIdx(), e.ghrAfter, -1, p.cfg.MispredictPenalty)
+				p.recover(e.seq+1, e.actualNext, e.nextTraceIdx(), e.ghrAfter, -1, MispredictPenalty)
 			}
 			return
 		}
@@ -830,9 +806,9 @@ func (p *Pipeline) handleViolation(e *entry, v *core.Violation) {
 	}
 	p.stats.ViolationFlushes++
 
-	penalty := p.cfg.MispredictPenalty + p.cfg.MDTViolExtra
+	penalty := MispredictPenalty + mdtViolExtra
 	if p.cfg.MemSys == MemLSQ {
-		penalty = p.cfg.MispredictPenalty
+		penalty = MispredictPenalty
 	}
 
 	// Locate the first squashed instruction to find the resume point.
@@ -934,7 +910,7 @@ func (p *Pipeline) recover(from seqnum.Seq, resumePC uint64, resumeTrace int, gh
 	// The flushed window covers every canceled sequence number: [from,
 	// latest allocated]. Sequence numbers allocated after recovery are
 	// larger, so the window never covers live instructions.
-	p.msys.onPartialFlush(from, p.seqs.Peek()-1, canceledCompletedStore, p.sfcLiveStores)
+	p.msys.onPartialFlush(from, p.seqs.Peek()-1, p.sfcLiveStores)
 
 	if resolveDir >= 0 {
 		p.bp.Resolve(ghr, resolveDir == 1)
@@ -967,7 +943,7 @@ func (p *Pipeline) retire() {
 				// itself. Detection this late is the scheme's cost.
 				p.stats.TrueViolations++
 				p.stats.ViolationFlushes++
-				p.recover(e.seq, e.pc, e.traceIdx, e.ghrBefore, -1, p.cfg.MispredictPenalty)
+				p.recover(e.seq, e.pc, e.traceIdx, e.ghrBefore, -1, MispredictPenalty)
 				return
 			}
 		}
@@ -1005,7 +981,6 @@ func (p *Pipeline) retire() {
 			p.stats.CondBranches++
 			if e.predNextPC != e.actualNext {
 				p.stats.Mispredicts++
-				p.bpc.FinalMispredicts++
 			}
 			p.bp.Update(e.pc, e.ghrBefore, e.actualTaken)
 		}
@@ -1218,7 +1193,7 @@ func (p *Pipeline) issue() {
 			memIssued++
 		}
 		p.stats.Issued++
-		if p.done || issued >= p.cfg.NumFUs {
+		if p.done || issued >= p.cfg.Width {
 			return
 		}
 	}
@@ -1285,7 +1260,7 @@ func (p *Pipeline) issueRange(lo, hi int, issued, memIssued *int) bool {
 				*memIssued++
 			}
 			p.stats.Issued++
-			if p.done || *issued >= p.cfg.NumFUs {
+			if p.done || *issued >= p.cfg.Width {
 				return false
 			}
 		}
@@ -1300,7 +1275,7 @@ func (p *Pipeline) issueRange(lo, hi int, issued, memIssued *int) bool {
 func (p *Pipeline) issueScan() {
 	issued := 0
 	memIssued := 0
-	for i := 0; i < p.rob.len() && issued < p.cfg.NumFUs; i++ {
+	for i := 0; i < p.rob.len() && issued < p.cfg.Width; i++ {
 		e := p.rob.at(i)
 		if e.issued || e.squashed {
 			continue
@@ -1351,16 +1326,16 @@ func (p *Pipeline) execute(e *entry, head bool) {
 		e.consumeHeld = false
 	}
 	in := e.inst
-	lat := p.cfg.IntLat
+	lat := intLat
 	switch e.dec.Class {
 	case isa.ClassALU, isa.ClassNop, isa.ClassHalt:
 		e.result = p.aluResult(e)
 	case isa.ClassMul:
 		e.result = p.aluResult(e)
-		lat = p.cfg.MulLat
+		lat = mulLat
 	case isa.ClassDiv:
 		e.result = p.aluResult(e)
-		lat = p.cfg.DivLat
+		lat = divLat
 
 	case isa.ClassBranch:
 		rs1, rs2 := p.srcVal(e, 0), p.srcVal(e, 1)
@@ -1709,7 +1684,7 @@ func (p *Pipeline) fetch() {
 	}
 	branches := 0
 	for n := 0; n < p.cfg.Width; n++ {
-		if p.fq.len() >= p.cfg.FetchQueueCap {
+		if p.fq.len() >= p.cfg.fetchQueueCap() {
 			return
 		}
 		pc := p.fetchPC &^ 3
@@ -1747,7 +1722,6 @@ func (p *Pipeline) fetch() {
 					p.bpc.BaseWrong++
 					if p.bp.OracleFixes(uint64(seq)) {
 						dir = trueTaken
-						p.bpc.OracleCorrected++
 						p.stats.OracleCorrected++
 					}
 				}
@@ -1797,7 +1771,7 @@ func (p *Pipeline) fetch() {
 			predNextPC: predNext,
 			ghrBefore:  ghrBefore,
 			ghrAfter:   p.bp.History(),
-			readyAt:    p.cycle + uint64(p.cfg.FrontEndDepth),
+			readyAt:    p.cycle + frontEndDepth,
 			isHalt:     isHalt,
 		})
 		p.stats.Fetched++

@@ -128,22 +128,10 @@ func (p *Pipeline) freeEntry(e *entry) {
 	p.pool = append(p.pool, e)
 }
 
-// eventHorizon returns the wheel horizon implied by the configuration's
-// latencies: one bucket per cycle out to the longest schedulable latency
-// (an L2-missing load behind every extra tag-check cycle), plus slack.
-// Anything longer — possible only with exotic configurations — lands on the
-// wheel's overflow list, which stays correct, just slower.
-func eventHorizon(cfg *Config) int {
-	m := cfg.IntLat
-	for _, l := range [...]int{
-		cfg.MulLat,
-		cfg.DivLat,
-		cfg.AGULat + cfg.BypassLat,
-		cfg.AGULat + cfg.SFCTagCheckExtra + cfg.Hier.L1HitCycles + cfg.Hier.L1MissCycles + cfg.Hier.L2MissCycles,
-	} {
-		if l > m {
-			m = l
-		}
-	}
-	return m + 2
-}
+// eventHorizon is the completion wheel's horizon: one bucket per cycle out
+// to the longest schedulable latency, plus slack. That latency is an
+// L2-missing load behind the SFC's tag-check cycle: address generation,
+// the extra cycle, and the Figure 4 hierarchy's 2-cycle L1 hit, 10-cycle
+// L1 miss and 100-cycle L2 miss. Anything longer lands on the wheel's
+// overflow list, which stays correct, just slower.
+const eventHorizon = aguLat + sfcTagCheckExtra + 2 + 10 + 100 + 2

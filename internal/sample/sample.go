@@ -383,10 +383,9 @@ type intervalOut struct {
 // additionally stops in-flight intervals at the pipeline's polling points.
 func (ivs *Intervals) RunParallel(ctx context.Context, cfg pipeline.Config, parallel int, sem *par.Sem) (*Result, error) {
 	plan := ivs.Plan
-	// Each detailed episode is Warm+Measure instructions; bound cycles
-	// accordingly (Validate derives MaxCycles from MaxInsts).
+	// Each detailed episode is Warm+Measure instructions; the pipeline
+	// derives its cycle limit from that budget.
 	cfg.MaxInsts = plan.Warm + plan.Measure
-	cfg.MaxCycles = 0
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}

@@ -237,9 +237,9 @@ func (rq RunRequest) frontend() harness.Frontend {
 	return harness.Frontend{BPred: rq.BPred, Prefetch: rq.Prefetch, Preprobe: rq.Preprobe}
 }
 
-// pipelineConfig builds the processor configuration a normalized request
+// PipelineConfig builds the processor configuration a normalized request
 // names, reusing the harness's Figure 4 constructors.
-func (rq RunRequest) pipelineConfig() pipeline.Config {
+func (rq RunRequest) PipelineConfig() pipeline.Config {
 	var kind pipeline.MemSysKind
 	switch rq.Mem {
 	case "lsq":

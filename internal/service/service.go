@@ -436,7 +436,7 @@ func (s *Service) simBackend(ctx context.Context, rq RunRequest) (*Result, error
 	if rq.Sampling != nil {
 		r = s.samplerFor(*rq.Sampling)
 	}
-	hr := r.RunContext(ctx, rq.pipelineConfig(), w)
+	hr := r.RunContext(ctx, rq.PipelineConfig(), w)
 	if hr.Err != nil {
 		return nil, hr.Err
 	}

@@ -32,7 +32,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"sort"
 
 	"sfcmdt/internal/arch"
@@ -184,20 +183,4 @@ func Decode(b []byte) (*State, error) {
 		r = r[8+mem.PageSize:]
 	}
 	return s, nil
-}
-
-// Save writes the encoded state to w.
-func (s *State) Save(w io.Writer) error {
-	_, err := w.Write(s.Encode())
-	return err
-}
-
-// Load reads and decodes one state from r (which must contain exactly one
-// encoded state).
-func Load(r io.Reader) (*State, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	return Decode(b)
 }

@@ -51,18 +51,6 @@ func TestRoundTrip(t *testing.T) {
 	if !bytes.Equal(enc, got.Encode()) {
 		t.Fatal("encoding is not canonical")
 	}
-	// Save/Load round-trip through an io stream.
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	got2, err := snapshot.Load(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if !statesEqual(s, got2) {
-		t.Fatal("Load differs from Save")
-	}
 }
 
 // TestRestoredMachineContinuesIdentically: capture at 5k, restore, and run

@@ -1,7 +1,7 @@
 #!/bin/sh
-# End-to-end smoke test for the serving stack: build sfcserve + sfcload,
-# start the server on an ephemeral port, drive a closed-loop burst whose
-# small request grid forces repeat traffic, and assert that
+# End-to-end smoke test for the serving stack: build sfcserve, sfcload and
+# sfcsim, start the server on an ephemeral port, drive a closed-loop burst
+# whose small request grid forces repeat traffic, and assert that
 #   - /healthz comes up,
 #   - coalescing + the result cache serve at least half the requests
 #     without a backend run (sfcload -min-hit-rate 0.5 exits nonzero
@@ -11,6 +11,8 @@
 #     counter moves by W, not W*M),
 #   - idle-cycle elision is live end to end: a stall-heavy pointer-chase run
 #     must advance the /v1/stats cycles_elided counter,
+#   - sfcsim -json names and times a run as /v1/run does: the same request
+#     through the server reports the same config and cycles,
 #   - SIGTERM drains cleanly (server exits 0 and prints its shutdown line).
 # Run via `make serve-smoke`; part of `make ci`.
 set -eu
@@ -28,6 +30,7 @@ trap cleanup EXIT INT TERM
 echo "serve-smoke: building binaries"
 go build -o "$TMP/sfcserve" ./cmd/sfcserve
 go build -o "$TMP/sfcload" ./cmd/sfcload
+go build -o "$TMP/sfcsim" ./cmd/sfcsim
 
 # Port 0 picks a free port; the server publishes the bound address via
 # -addr-file (written atomically), which we poll instead of racing a log.
@@ -90,6 +93,26 @@ if [ "$E1" -le "$E0" ]; then
     exit 1
 fi
 echo "serve-smoke: elision OK ($((E1 - E0)) cycles elided by the pointer chase)"
+
+# sfcsim's flags name a /v1/run request: the server's answer to the same
+# request (a one-point canonical sweep) must carry the same config name and
+# cycle count. $1 is the extra sfcsim flags, $2 the same axes for sfcload.
+same_as_server() {
+    "$TMP/sfcsim" -json -config aggressive -insts 2000 $1 gzip >"$TMP/cli.json"
+    "$TMP/sfcload" -addr "$ADDR" -sweep -canonical -insts 2000 \
+        -workloads gzip -configs aggressive $2 >"$TMP/srv.json"
+    for f in config cycles; do
+        CLI=$(grep -o "\"$f\":[^,]*" "$TMP/cli.json" | head -n 1)
+        SRV=$(head -n 1 "$TMP/srv.json" | grep -o "\"$f\":[^,]*" | head -n 1)
+        if [ -z "$CLI" ] || [ "$CLI" != "$SRV" ]; then
+            echo "serve-smoke: sfcsim -json${1:+ $1} reports $CLI, /v1/run reports $SRV" >&2
+            exit 1
+        fi
+    done
+    echo "serve-smoke: sfcsim matches /v1/run ($CLI, $(grep -o '"config":"[^"]*"' "$TMP/cli.json"))"
+}
+same_as_server "" ""
+same_as_server "-mem lsq -pred enf" "-mems lsq -preds enf"
 
 echo "serve-smoke: sending SIGTERM"
 kill -TERM "$SRV_PID"

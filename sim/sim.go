@@ -31,7 +31,8 @@ import (
 // documentation.
 type (
 	// Config is a full processor configuration (widths, window, memory
-	// subsystem, predictors, latencies).
+	// subsystem, predictors, frontend options, instruction budget); the
+	// latencies are Figure 4's fixed ones.
 	Config = pipeline.Config
 	// Stats is the statistics record of one run.
 	Stats = metrics.Stats
