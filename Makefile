@@ -4,8 +4,9 @@
 # smoke run (catches benchmarks that no longer compile or crash without
 # paying for a full measurement) + vet and tests of the nested bench/
 # module, which root `go test ./...` skips + short fuzz runs of the
-# word-granular memory paths, the memoizing cache and the functional
-# interpreter against their references + a one-second pass of every bench/ workload that must report
+# word-granular memory paths, the memoizing cache, and the functional
+# interpreter one instruction at a time and as a batch loop, against their
+# references + a one-second pass of every bench/ workload that must report
 # correct output + the serving, sampling and cluster smoke tests.
 #
 # Timings are not gated here: a change that only slows the simulator passes
@@ -40,13 +41,15 @@ bench-smoke:
 # Short fuzz runs (the seeded corpora always run; the time budget explores
 # beyond them): the Sparse word paths vs the per-byte reference, the
 # memoizing cache vs its search-every-access reference, the functional
-# interpreter (Exec and the record it rebuilds) vs the reference
+# interpreter (Exec and the record it rebuilds; the batch loop Run in
+# fuzzed chunk sizes, with and without its column sink) vs the reference
 # interpreter it replaced, and the snapshot and replay-stream decoders
 # against arbitrary bytes.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSparseWordVsByte -fuzztime 10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzCacheVsReference -fuzztime 10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzExecVsReference -fuzztime 10s ./internal/arch
+	$(GO) test -run '^$$' -fuzz FuzzRunVsReference -fuzztime 10s ./internal/arch
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/replay
 

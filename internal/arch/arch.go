@@ -47,8 +47,9 @@ func LoadMemoryInto(s *mem.Sparse, img *prog.Image) {
 	s.SetBytes(img.DataBase, img.Data)
 }
 
-// Exec executes one instruction — the functional model's one interpreter —
-// and returns only what the replay stream keeps of it (see replay.Stream):
+// Exec executes one instruction — the one-instruction case of Run, the
+// functional model's one interpreter — and returns only what the replay
+// stream keeps of it (see replay.Stream):
 //
 //   - val is the instruction's one dynamic value: the extended load result
 //     for a load (also when it loads into R0), the masked store data for a
@@ -65,128 +66,197 @@ func (m *Machine) Exec() (val, addr uint64, taken bool, err error) {
 	if m.Halted {
 		return 0, 0, false, fmt.Errorf("arch: step after halt")
 	}
-	pc := m.PC
-	in, ok := m.Img.InstAt(pc)
-	if !ok {
-		return 0, 0, false, fmt.Errorf("arch: PC %#x outside code segment", pc)
+	return m.run(1, nil)
+}
+
+// Columns is the sink Run appends Exec's outputs to, one entry per executed
+// instruction: its static code index, its value and its address, and its
+// branch outcome as bit i of the Taken bitset. replay.Stream embeds it.
+type Columns struct {
+	CodeIdx []uint32
+	Val     []uint64
+	Addr    []uint64
+	Taken   []uint64 // bitset over entries
+}
+
+// Append adds one instruction's entry.
+func (c *Columns) Append(idx uint32, val, addr uint64, taken bool) {
+	i := len(c.CodeIdx)
+	c.CodeIdx = append(c.CodeIdx, idx)
+	c.Val = append(c.Val, val)
+	c.Addr = append(c.Addr, addr)
+	if i>>6 >= len(c.Taken) {
+		c.Taken = append(c.Taken, 0)
 	}
-	next := pc + 4
-	rs1 := m.Regs[in.Rs1]
-	rs2 := m.Regs[in.Rs2]
-	imm := uint64(int64(in.Imm))
-	writesRd := true
+	if taken {
+		c.Taken[i>>6] |= 1 << uint(i&63)
+	}
+}
 
-	switch in.Op {
-	case isa.OpAdd:
-		val = rs1 + rs2
-	case isa.OpSub:
-		val = rs1 - rs2
-	case isa.OpAnd:
-		val = rs1 & rs2
-	case isa.OpOr:
-		val = rs1 | rs2
-	case isa.OpXor:
-		val = rs1 ^ rs2
-	case isa.OpSll:
-		val = rs1 << (rs2 & 63)
-	case isa.OpSrl:
-		val = rs1 >> (rs2 & 63)
-	case isa.OpSra:
-		val = uint64(int64(rs1) >> (rs2 & 63))
-	case isa.OpSlt:
-		val = boolToU64(int64(rs1) < int64(rs2))
-	case isa.OpSltu:
-		val = boolToU64(rs1 < rs2)
-	case isa.OpMul:
-		val = rs1 * rs2
-	case isa.OpDiv:
-		val = divSemantics(int64(rs1), int64(rs2))
-	case isa.OpRem:
-		val = remSemantics(int64(rs1), int64(rs2))
+// TakenAt reports entry i's branch outcome.
+func (c *Columns) TakenAt(i int) bool {
+	return c.Taken[i>>6]&(1<<uint(i&63)) != 0
+}
 
-	case isa.OpAddi:
-		val = rs1 + imm
-	case isa.OpAndi:
-		val = rs1 & imm
-	case isa.OpOri:
-		val = rs1 | imm
-	case isa.OpXori:
-		val = rs1 ^ imm
-	case isa.OpSlli:
-		val = rs1 << (imm & 63)
-	case isa.OpSrli:
-		val = rs1 >> (imm & 63)
-	case isa.OpSrai:
-		val = uint64(int64(rs1) >> (imm & 63))
-	case isa.OpSlti:
-		val = boolToU64(int64(rs1) < int64(imm))
+// Run executes up to n instructions, stopping early at HALT; on a machine
+// that has already halted it executes none. It is the loop fast-forward and
+// stream materialization run on, with Exec's checks and outputs: when out is
+// non-nil it appends each instruction's code index and outputs to it. On a
+// fault the machine holds the state after the last instruction that
+// completed, and out ends with that instruction's entry.
+func (m *Machine) Run(n uint64, out *Columns) error {
+	_, _, _, err := m.run(n, out)
+	return err
+}
 
-	case isa.OpMovz:
-		val = uint64(uint32(in.Imm)) << (16 * uint(in.Sh))
-	case isa.OpMovk:
-		mask := uint64(0xFFFF) << (16 * uint(in.Sh))
-		val = m.Regs[in.Rd]&^mask | uint64(uint32(in.Imm))<<(16*uint(in.Sh))
-
-	case isa.OpLb, isa.OpLbu, isa.OpLh, isa.OpLhu, isa.OpLw, isa.OpLwu, isa.OpLd:
-		size := in.Op.MemSize()
-		addr = rs1 + imm
-		if addr&uint64(size-1) != 0 { // sizes are powers of two
-			return 0, 0, false, fmt.Errorf("arch: misaligned %s at PC %#x: addr %#x", in.Op, pc, addr)
+// run is Run, returning the last executed instruction's outputs for Exec.
+// It keeps PC, Count and the code segment in locals and writes PC and Count
+// back on every exit.
+func (m *Machine) run(n uint64, out *Columns) (val, addr uint64, taken bool, err error) {
+	code, base := m.Img.Code, m.Img.CodeBase
+	if out != nil && (base%4 != 0 || uint64(len(code)) > 1<<32) {
+		// Every PC the loop accepts then has a 32-bit code index.
+		return 0, 0, false, fmt.Errorf("arch: %d-instruction code segment at %#x has no 32-bit word index", len(code), base)
+	}
+	regs, memory := &m.Regs, m.Mem
+	pc, count := m.PC, m.Count
+loop:
+	for ; n > 0 && !m.Halted; n-- {
+		idx := (pc - base) / 4
+		if pc < base || pc%4 != 0 || idx >= uint64(len(code)) {
+			err = fmt.Errorf("arch: PC %#x outside code segment", pc)
+			break
 		}
-		val = extend(m.Mem.ReadUint(addr, size), size, in.Op.Signed())
-		if in.Rd != isa.Zero {
-			m.Regs[in.Rd] = val
-		}
-		writesRd = false // a load into R0 still reports its value
+		in := code[idx]
+		next := pc + 4
+		rs1 := regs[in.Rs1]
+		rs2 := regs[in.Rs2]
+		imm := uint64(int64(in.Imm))
+		writesRd := true
+		val, addr, taken = 0, 0, false
 
-	case isa.OpSb, isa.OpSh, isa.OpSw, isa.OpSd:
-		size := in.Op.MemSize()
-		addr = rs1 + imm
-		if addr&uint64(size-1) != 0 { // sizes are powers of two
-			return 0, 0, false, fmt.Errorf("arch: misaligned %s at PC %#x: addr %#x", in.Op, pc, addr)
-		}
-		val = rs2 & sizeMask(size)
-		m.Mem.WriteUint(addr, size, val)
-		writesRd = false
+		switch in.Op {
+		case isa.OpAdd:
+			val = rs1 + rs2
+		case isa.OpSub:
+			val = rs1 - rs2
+		case isa.OpAnd:
+			val = rs1 & rs2
+		case isa.OpOr:
+			val = rs1 | rs2
+		case isa.OpXor:
+			val = rs1 ^ rs2
+		case isa.OpSll:
+			val = rs1 << (rs2 & 63)
+		case isa.OpSrl:
+			val = rs1 >> (rs2 & 63)
+		case isa.OpSra:
+			val = uint64(int64(rs1) >> (rs2 & 63))
+		case isa.OpSlt:
+			val = boolToU64(int64(rs1) < int64(rs2))
+		case isa.OpSltu:
+			val = boolToU64(rs1 < rs2)
+		case isa.OpMul:
+			val = rs1 * rs2
+		case isa.OpDiv:
+			val = divSemantics(int64(rs1), int64(rs2))
+		case isa.OpRem:
+			val = remSemantics(int64(rs1), int64(rs2))
 
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu, isa.OpBgeu:
-		taken = evalBranch(in.Op, rs1, rs2)
-		if taken {
+		case isa.OpAddi:
+			val = rs1 + imm
+		case isa.OpAndi:
+			val = rs1 & imm
+		case isa.OpOri:
+			val = rs1 | imm
+		case isa.OpXori:
+			val = rs1 ^ imm
+		case isa.OpSlli:
+			val = rs1 << (imm & 63)
+		case isa.OpSrli:
+			val = rs1 >> (imm & 63)
+		case isa.OpSrai:
+			val = uint64(int64(rs1) >> (imm & 63))
+		case isa.OpSlti:
+			val = boolToU64(int64(rs1) < int64(imm))
+
+		case isa.OpMovz:
+			val = uint64(uint32(in.Imm)) << (16 * uint(in.Sh))
+		case isa.OpMovk:
+			mask := uint64(0xFFFF) << (16 * uint(in.Sh))
+			val = regs[in.Rd]&^mask | uint64(uint32(in.Imm))<<(16*uint(in.Sh))
+
+		case isa.OpLb, isa.OpLbu, isa.OpLh, isa.OpLhu, isa.OpLw, isa.OpLwu, isa.OpLd:
+			size := in.Op.MemSize()
+			addr = rs1 + imm
+			if addr&uint64(size-1) != 0 { // sizes are powers of two
+				err = fmt.Errorf("arch: misaligned %s at PC %#x: addr %#x", in.Op, pc, addr)
+				break loop
+			}
+			val = extend(memory.ReadUint(addr, size), size, in.Op.Signed())
+			if in.Rd != isa.Zero {
+				regs[in.Rd] = val
+			}
+			writesRd = false // a load into R0 still reports its value
+
+		case isa.OpSb, isa.OpSh, isa.OpSw, isa.OpSd:
+			size := in.Op.MemSize()
+			addr = rs1 + imm
+			if addr&uint64(size-1) != 0 { // sizes are powers of two
+				err = fmt.Errorf("arch: misaligned %s at PC %#x: addr %#x", in.Op, pc, addr)
+				break loop
+			}
+			val = rs2 & sizeMask(size)
+			memory.WriteUint(addr, size, val)
+			writesRd = false
+
+		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu, isa.OpBgeu:
+			taken = evalBranch(in.Op, rs1, rs2)
+			if taken {
+				next += imm * 4
+			}
+			writesRd = false
+
+		case isa.OpJal:
+			val, taken = pc+4, true
 			next += imm * 4
+
+		case isa.OpJalr:
+			addr = (rs1 + imm) &^ 3
+			val, taken, next = pc+4, true, addr
+
+		case isa.OpHalt:
+			m.Halted = true
+			next = pc // parked
+			writesRd = false
+
+		case isa.OpNop:
+			writesRd = false
+
+		default:
+			err = fmt.Errorf("arch: unimplemented op %v at PC %#x", in.Op, pc)
+			break loop
 		}
-		writesRd = false
 
-	case isa.OpJal:
-		val, taken = pc+4, true
-		next += imm * 4
-
-	case isa.OpJalr:
-		addr = (rs1 + imm) &^ 3
-		val, taken, next = pc+4, true, addr
-
-	case isa.OpHalt:
-		m.Halted = true
-		next = pc // parked
-		writesRd = false
-
-	case isa.OpNop:
-		writesRd = false
-
-	default:
-		return 0, 0, false, fmt.Errorf("arch: unimplemented op %v at PC %#x", in.Op, pc)
-	}
-
-	// Writes to R0 are discarded and report no value, matching the
-	// pipeline's rename stage.
-	if writesRd {
-		if in.Rd == isa.Zero {
-			val = 0
-		} else {
-			m.Regs[in.Rd] = val
+		// Writes to R0 are discarded and report no value, matching the
+		// pipeline's rename stage.
+		if writesRd {
+			if in.Rd == isa.Zero {
+				val = 0
+			} else {
+				regs[in.Rd] = val
+			}
 		}
+		if out != nil {
+			out.Append(uint32(idx), val, addr, taken)
+		}
+		pc = next
+		count++
 	}
-	m.PC = next
-	m.Count++
+	m.PC, m.Count = pc, count
+	if err != nil {
+		return 0, 0, false, err
+	}
 	return val, addr, taken, nil
 }
 

@@ -259,6 +259,32 @@ func TestDiskRejectsCorruptIndex(t *testing.T) {
 	}
 }
 
+// TestDiskFailedPutLeavesNoTemp: a Put whose index rename fails (the index
+// path is a directory) reports the error and leaves no temp file behind in
+// either directory.
+func TestDiskFailedPutLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDisk(dir, testKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(d.indexPath("k"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("k", []byte("blob: test")); err == nil {
+		t.Fatal("Put onto a directory succeeded")
+	}
+	for _, sub := range []string{"objects", "index"} {
+		tmps, err := filepath.Glob(filepath.Join(dir, sub, ".tmp-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tmps) != 0 {
+			t.Errorf("failed Put left %v", tmps)
+		}
+	}
+}
+
 // TestRemoteVerifiesReplies: a peer whose reply does not match its hash
 // header, or whose body the kind cannot decode, yields an error — never a
 // hit, and never a panic (a short header once sliced out of range).

@@ -48,10 +48,7 @@ type Stream struct {
 	CodeBase uint64
 	Halted   bool // the program executed HALT within the span
 
-	CodeIdx []uint32
-	Val     []uint64
-	Addr    []uint64
-	Taken   []uint64 // bitset over records
+	arch.Columns // CodeIdx, Val, Addr and the Taken bitset, as arch.Machine.Run appends them
 
 	// Anchors lists the retired-instruction offsets at which architectural
 	// checkpoints were captured while this stream was materialized (the
@@ -67,15 +64,6 @@ type Stream struct {
 
 // Len returns the number of records in the stream.
 func (s *Stream) Len() int { return len(s.CodeIdx) }
-
-// taken reports record i's branch outcome.
-func (s *Stream) taken(i int) bool {
-	return s.Taken[i>>6]&(1<<uint(i&63)) != 0
-}
-
-func (s *Stream) setTaken(i int) {
-	s.Taken[i>>6] |= 1 << uint(i&63)
-}
 
 // Bind attaches (and validates the stream against) the program image the
 // stream was materialized from: the name and code base must match, and every
@@ -110,16 +98,7 @@ func (s *Stream) push(pc, val, addr uint64, taken bool) error {
 	if idx > 1<<32-1 {
 		return fmt.Errorf("replay: code index %d overflows the stream's 32-bit column", idx)
 	}
-	i := len(s.CodeIdx)
-	s.CodeIdx = append(s.CodeIdx, uint32(idx))
-	s.Val = append(s.Val, val)
-	s.Addr = append(s.Addr, addr)
-	if i>>6 >= len(s.Taken) {
-		s.Taken = append(s.Taken, 0)
-	}
-	if taken {
-		s.setTaken(i)
-	}
+	s.Append(uint32(idx), val, addr, taken)
 	return nil
 }
 
@@ -146,15 +125,17 @@ func newStream(img *prog.Image, capHint int) *Stream {
 	return &Stream{
 		Workload: img.Name,
 		CodeBase: img.CodeBase,
-		CodeIdx:  make([]uint32, 0, capHint),
-		Val:      make([]uint64, 0, capHint),
-		Addr:     make([]uint64, 0, capHint),
-		Taken:    make([]uint64, 0, (capHint+63)/64),
+		Columns: arch.Columns{
+			CodeIdx: make([]uint32, 0, capHint),
+			Val:     make([]uint64, 0, capHint),
+			Addr:    make([]uint64, 0, capHint),
+			Taken:   make([]uint64, 0, (capHint+63)/64),
+		},
 	}
 }
 
 // Materialize runs the functional model for at most span instructions and
-// returns the stream directly, appending arch.Machine.Exec's outputs to the
+// returns the stream directly, arch.Machine.Run appending its outputs to the
 // columns without building a trace or a per-instruction record — this is
 // the one functional pass a sweep pays per workload.
 func Materialize(img *prog.Image, span uint64) (*Stream, error) {
@@ -179,16 +160,8 @@ func MaterializeFrom(m *arch.Machine, n uint64) (*Stream, error) {
 
 func materializeFrom(m *arch.Machine, n uint64, img *prog.Image) (*Stream, error) {
 	s := newStream(img, int(min(n, 1<<20)))
-	target := m.Count + n
-	for m.Count < target && !m.Halted {
-		pc := m.PC
-		val, addr, taken, err := m.Exec()
-		if err != nil {
-			return nil, fmt.Errorf("replay: %s: after %d insts: %w", img.Name, m.Count, err)
-		}
-		if err := s.push(pc, val, addr, taken); err != nil {
-			return nil, err
-		}
+	if err := m.Run(n, &s.Columns); err != nil {
+		return nil, fmt.Errorf("replay: %s: after %d insts: %w", img.Name, m.Count, err)
 	}
 	s.Halted = m.Halted
 	if err := s.Bind(img, nil); err != nil {
@@ -200,13 +173,10 @@ func materializeFrom(m *arch.Machine, n uint64, img *prog.Image) (*Stream, error
 // PCAt returns record i's program counter.
 func (s *Stream) PCAt(i int) uint64 { return s.CodeBase + uint64(s.CodeIdx[i])*4 }
 
-// TakenAt returns record i's branch outcome.
-func (s *Stream) TakenAt(i int) bool { return s.taken(i) }
-
 // NextPCAt derives record i's architectural next PC from the columns with
 // arch.NextPC, the rule RecordAt's reconstruction uses.
 func (s *Stream) NextPCAt(i int) uint64 {
-	return arch.NextPC(&s.dec[s.CodeIdx[i]], s.PCAt(i), s.Addr[i], s.taken(i))
+	return arch.NextPC(&s.dec[s.CodeIdx[i]], s.PCAt(i), s.Addr[i], s.TakenAt(i))
 }
 
 // RecordAt reconstructs record i as the golden model produced it, with
@@ -214,7 +184,7 @@ func (s *Stream) NextPCAt(i int) uint64 {
 // itself returns, so replay-mode retirement validation is precisely as
 // strong as lockstep validation against the original trace.
 func (s *Stream) RecordAt(i int) arch.Record {
-	return arch.RecordOf(&s.dec[s.CodeIdx[i]], s.PCAt(i), s.Val[i], s.Addr[i], s.taken(i))
+	return arch.RecordOf(&s.dec[s.CodeIdx[i]], s.PCAt(i), s.Val[i], s.Addr[i], s.TakenAt(i))
 }
 
 // Decoded returns the bound predecode table (nil before Bind).
@@ -269,7 +239,7 @@ func (v *View) Len() int { return v.n }
 func (v *View) PCAt(i int) uint64 { return v.s.PCAt(i) }
 
 // TakenAt returns record i's branch outcome.
-func (v *View) TakenAt(i int) bool { return v.s.taken(i) }
+func (v *View) TakenAt(i int) bool { return v.s.TakenAt(i) }
 
 // NextPCAt returns record i's architectural next PC.
 func (v *View) NextPCAt(i int) uint64 { return v.s.NextPCAt(i) }

@@ -2,11 +2,11 @@
 // systematic interval sampling, the subsystem that makes paper-scale
 // instruction budgets tractable: instead of simulating every instruction in
 // detail from cycle 0, a run fast-forwards on the architectural golden
-// model's interpreter (arch.Machine.Exec: no pipeline and no retirement
-// record), runs a short detailed-warm prefix whose statistics are discarded,
-// measures a short detailed interval, and repeats —
-// aggregating measured intervals into an IPC estimate with a coefficient of
-// variation over intervals.
+// model's batch interpreter loop (arch.Machine.Run with no column sink: no
+// pipeline and no retirement record), runs a short detailed-warm prefix
+// whose statistics are discarded, measures a short detailed interval, and
+// repeats — aggregating measured intervals into an IPC estimate with a
+// coefficient of variation over intervals.
 //
 // Interval preparation (one functional pass producing per-interval start
 // states and replay streams) is independent of the pipeline configuration, so
@@ -40,15 +40,10 @@ import (
 )
 
 // FastForward advances the machine by up to n instructions on the functional
-// model (it stops early at HALT). The machine is mutated in place.
+// model's loop, arch.Machine.Run with no column sink (it stops early at
+// HALT). The machine is mutated in place.
 func FastForward(m *arch.Machine, n uint64) error {
-	target := m.Count + n
-	for m.Count < target && !m.Halted {
-		if _, _, _, err := m.Exec(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.Run(n, nil)
 }
 
 // Plan is a systematic sampling plan: per interval, fast-forward FastForward
@@ -125,6 +120,13 @@ type Intervals struct {
 // sweep restores every interval in parallel); functional execution stays
 // serial only across actual gaps between checkpoints. Preparation stops
 // early if the program halts; at least one interval must be preparable.
+//
+// A checkpoint captured on a miss is written while its segment runs on to
+// the next interval start, one write in flight per segment, and Prepare
+// returns only after every write it started has returned. The error is the
+// one a serial pass returns: the earliest interval's failure wins, and
+// within an interval a failed write comes before any error after its
+// capture. A segment whose write failed stops at its next checkpoint.
 //
 // Each interval's detailed portion is materialized directly as a compact
 // columnar replay stream (~4-5× smaller than the equivalent AoS trace).
@@ -226,6 +228,15 @@ func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args strin
 	} else {
 		m = arch.New(img)
 	}
+	// A checkpoint's write runs beside the segment's next fast-forward. In
+	// the serial order it precedes everything after its capture, so its
+	// error, reported on return, wins over any later one.
+	var w checkpointWriter
+	defer func() {
+		if err := w.wait(); err != nil {
+			out.err = err
+		}
+	}()
 	for k := seg[0]; k <= seg[1]; k++ {
 		if err := getErrs[k]; err != nil {
 			out.err = err
@@ -242,7 +253,7 @@ func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args strin
 			held = nil
 			if store != nil && !m.Halted {
 				held = snapshot.Capture(m)
-				if err := store.Put(snapshot.Key{Workload: img.Name, Args: args, Insts: start}, held); err != nil {
+				if err := w.put(store, snapshot.Key{Workload: img.Name, Args: args, Insts: start}, held); err != nil {
 					out.err = err
 					return
 				}
@@ -286,6 +297,46 @@ func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args strin
 		}
 	}
 	return
+}
+
+// checkpointWriter runs a segment's checkpoint writes off its functional
+// execution: a Put runs on a goroutine holding one par.CPU unit, taken with
+// TryAcquire, or inline when no unit is free. At most one write is in
+// flight. The written state needs no copy: a captured checkpoint is
+// read-only, and its memory is already the interval's start memory.
+type checkpointWriter struct {
+	done chan error // the write in flight; nil when there is none
+}
+
+// put waits for the write in flight, then writes s under k. It returns the
+// earlier write's error, or the error of this one if it ran inline.
+func (w *checkpointWriter) put(store snapshot.Store, k snapshot.Key, s *snapshot.State) error {
+	if err := w.wait(); err != nil {
+		return err
+	}
+	sem := par.CPU()
+	if !sem.TryAcquire(1) {
+		return store.Put(k, s)
+	}
+	done := make(chan error, 1)
+	w.done = done
+	go func() {
+		err := store.Put(k, s)
+		sem.Release(1)
+		done <- err
+	}()
+	return nil
+}
+
+// wait returns once no write is in flight, with the error of the one that
+// was.
+func (w *checkpointWriter) wait() error {
+	if w.done == nil {
+		return nil
+	}
+	err := <-w.done
+	w.done = nil
+	return err
 }
 
 // forEachIndex runs f(k) for every k in [0, n), fanning across the caller's

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sfcmdt/internal/core"
 	"sfcmdt/internal/harness"
@@ -139,15 +140,24 @@ func (rq *RunRequest) Normalize(defaultInsts, maxInsts, maxFFInsts uint64) error
 		if err := sp.plan().Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		if detailed := (sp.Warm + sp.Measure) * uint64(sp.Intervals); detailed > maxInsts {
-			return fmt.Errorf("%w: sampling plan's detailed budget %d exceeds server cap %d", ErrBadRequest, detailed, maxInsts)
+		// Each budget is checked as a 128-bit product: a plan whose budget
+		// wraps 64 bits must not pass a cap as a small number.
+		warmMeasure, carry := bits.Add64(sp.Warm, sp.Measure, 0)
+		hi, detailed := bits.Mul64(warmMeasure, uint64(sp.Intervals))
+		if carry != 0 || hi != 0 || detailed > maxInsts {
+			return fmt.Errorf("%w: sampling plan's detailed budget (%d+%d)×%d exceeds server cap %d", ErrBadRequest, sp.Warm, sp.Measure, sp.Intervals, maxInsts)
 		}
-		if ff := sp.FF * uint64(sp.Intervals); ff > maxFFInsts {
-			return fmt.Errorf("%w: sampling plan fast-forwards %d insts, server cap is %d", ErrBadRequest, ff, maxFFInsts)
+		hi, ff := bits.Mul64(sp.FF, uint64(sp.Intervals))
+		if hi != 0 || ff > maxFFInsts {
+			return fmt.Errorf("%w: sampling plan fast-forwards %d×%d insts, server cap is %d", ErrBadRequest, sp.FF, sp.Intervals, maxFFInsts)
+		}
+		span, carry := bits.Add64(detailed, ff, 0)
+		if carry != 0 {
+			return fmt.Errorf("%w: sampling plan spans more than 2^64 insts", ErrBadRequest)
 		}
 		// The reported budget is the span the plan covers; the detailed
 		// work is bounded by the plan itself, not by Insts.
-		rq.Insts = sp.plan().Span()
+		rq.Insts = span
 		return nil
 	}
 	if rq.Insts == 0 {

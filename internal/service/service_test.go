@@ -646,6 +646,68 @@ func TestSamplingBadRequests(t *testing.T) {
 	}
 }
 
+// TestSamplingOverflowRejected sends plans whose fast-forward or detailed
+// budget wraps 64 bits, and one valid plan, to /v1/run and as a /v1/sweep
+// sampling block. A wrapped budget must be a 400 (a failed sweep line), not
+// a small number under the caps: the first plan would otherwise
+// fast-forward 2^63 instructions per interval.
+func TestSamplingOverflowRejected(t *testing.T) {
+	t.Cleanup(trackGoroutines(t))
+	backend := newStubBackend()
+	close(backend.release) // backend completes immediately
+	_, ts := newTestServer(t, Config{Workers: 1, Backend: backend.fn})
+	go func() { // drain start signals
+		for range backend.started {
+		}
+	}()
+	defer close(backend.started)
+
+	for _, tc := range []struct {
+		name, sampling string
+		ok             bool
+	}{
+		{"ff wraps", `{"ff":9223372036854775808,"measure":1000,"intervals":2}`, false},
+		{"warm+measure wraps", `{"ff":1000,"warm":9223372036854775808,"measure":9223372036854775808,"intervals":1}`, false},
+		{"detailed product wraps", `{"ff":1000,"measure":4611686018427387904,"intervals":4}`, false},
+		{"valid", `{"ff":1000,"measure":1000,"intervals":2}`, true},
+	} {
+		body := `{"workload":"gzip","sampling":` + tc.sampling + `}`
+		resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if want := map[bool]int{true: http.StatusOK, false: http.StatusBadRequest}[tc.ok]; resp.StatusCode != want {
+			t.Errorf("%s: /v1/run status %d, want %d", tc.name, resp.StatusCode, want)
+		}
+
+		body = `{"workloads":["gzip"],"sampling":` + tc.sampling + `}`
+		resp, err = ts.Client().Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var lines []string
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			lines = append(lines, sc.Text())
+		}
+		resp.Body.Close()
+		if err := sc.Err(); err != nil || len(lines) != 2 {
+			t.Fatalf("%s: sweep stream %q (err %v), want one result and a summary", tc.name, lines, err)
+		}
+		var res Result
+		if err := json.Unmarshal([]byte(lines[0]), &res); err != nil {
+			t.Fatalf("%s: bad sweep line %q: %v", tc.name, lines[0], err)
+		}
+		if tc.ok != (res.Err == "") || !tc.ok && !strings.Contains(res.Err, "bad request") {
+			t.Errorf("%s: sweep point error %q, want ok=%v", tc.name, res.Err, tc.ok)
+		}
+		if n := backend.runs.Load(); !tc.ok && n != 0 {
+			t.Fatalf("%s: a wrapped plan reached the backend (%d runs)", tc.name, n)
+		}
+	}
+}
+
 // TestSampledRunEndToEnd runs the real simulator backend in sampled mode: the
 // response carries the sampling block, its IPC matches the headline IPC, and
 // a sampled sweep over two configurations shares one workload preparation
