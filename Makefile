@@ -7,7 +7,8 @@
 # word-granular memory paths, the memoizing cache, and the functional
 # interpreter one instruction at a time and as a batch loop, against their
 # references + a one-second pass of every bench/ workload that must report
-# correct output + the serving, sampling and cluster smoke tests.
+# correct output + the assembler-runner, serving, sampling and cluster smoke
+# tests.
 #
 # Timings are not gated here: a change that only slows the simulator passes
 # `make ci`. Judge timings with `bash bench/ab.sh REV`, which runs
@@ -15,7 +16,7 @@
 
 GO ?= go
 
-.PHONY: all vet fmt-check build test race bench-smoke fuzz-smoke bench bench-build bench-verify serve-smoke sample-smoke cluster-smoke ci
+.PHONY: all vet fmt-check build test race bench-smoke fuzz-smoke bench bench-build bench-verify asm-smoke serve-smoke sample-smoke cluster-smoke ci
 
 all: build
 
@@ -72,6 +73,13 @@ bench-verify:
 	@if ! grep -q '"correct":true' .bench_build/ci.json || grep -q '"correct":false' .bench_build/ci.json; then \
 		echo "bench-verify: a workload reported incorrect output (see .bench_build/ci.json)"; exit 1; fi
 
+# End-to-end smoke of cmd/sfcasm: the functional model alone (-run arch)
+# and the pipeline (-run baseline) retire the same instruction count on
+# examples/asm/stride_conflict.s, and a misaligned load makes -run arch
+# exit 1 with the fault.
+asm-smoke:
+	sh scripts/asm_smoke.sh
+
 # End-to-end smoke of the serving stack: sfcserve on an ephemeral port,
 # an sfcload burst that must hit the cache/coalescer for >=50% of requests,
 # sfcsim -json reporting the config name and cycles /v1/run reports for the
@@ -93,4 +101,4 @@ sample-smoke:
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
-ci: vet fmt-check build race bench-smoke bench-build fuzz-smoke bench-verify serve-smoke sample-smoke cluster-smoke
+ci: vet fmt-check build race bench-smoke bench-build fuzz-smoke bench-verify asm-smoke serve-smoke sample-smoke cluster-smoke

@@ -16,6 +16,7 @@ import (
 	"sfcmdt/internal/core"
 	"sfcmdt/internal/harness"
 	"sfcmdt/internal/pipeline"
+	"sfcmdt/internal/replay"
 	"sfcmdt/internal/sched"
 	"sfcmdt/internal/seqnum"
 	"sfcmdt/internal/workload"
@@ -122,13 +123,14 @@ func BenchmarkPipelineAggressiveLSQ(b *testing.B) {
 	benchPipeline(b, sim.Aggressive(sim.LSQ120x80, benchInsts), "gcc")
 }
 
-// BenchmarkGoldenModel measures the functional simulator alone.
+// BenchmarkGoldenModel measures the functional simulator alone: one
+// materialization of the reference stream a run binds.
 func BenchmarkGoldenModel(b *testing.B) {
 	w, _ := sim.Workload("gcc")
 	img := w.Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.GoldenTrace(img, benchInsts); err != nil {
+		if _, err := replay.Materialize(img, benchInsts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 
+	"sfcmdt/internal/arch"
 	"sfcmdt/sim"
 )
 
@@ -41,12 +42,12 @@ func main() {
 	switch *run {
 	case "":
 	case "arch":
-		tr, err := sim.GoldenTrace(img, *insts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sfcasm: %v\n", err)
+		m := arch.New(img)
+		if err := m.Run(*insts, nil); err != nil {
+			fmt.Fprintf(os.Stderr, "sfcasm: %s: after %d insts: %v\n", img.Name, m.Count, err)
 			os.Exit(1)
 		}
-		fmt.Printf("functional run: %d instructions retired, halted=%v\n", tr.Len(), tr.Halted)
+		fmt.Printf("functional run: %d instructions retired, halted=%v\n", m.Count, m.Halted)
 	case "baseline", "aggressive":
 		var cfg sim.Config
 		if *run == "baseline" {

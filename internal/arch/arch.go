@@ -1,8 +1,8 @@
 // Package arch implements the architectural (functional) simulator: the
 // golden model that executes programs one instruction at a time with exact
 // ISA semantics. The cycle-level pipeline validates every retiring
-// instruction against a trace produced by this model, mirroring the paper's
-// methodology ("the results produced by retiring instructions are validated
+// instruction against a reference stream produced by this model (Run, with
+// a column sink), mirroring the paper's methodology ("the results produced by retiring instructions are validated
 // against a trace generated by an architectural simulator").
 package arch
 

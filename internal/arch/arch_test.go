@@ -176,24 +176,31 @@ func TestR0IsHardwiredZero(t *testing.T) {
 	}
 }
 
+// TestRunTraceRecords checks a run's architectural trace, the records Step
+// returns, for a load, an add and a store: their values, and that each
+// record's NextPC is the next record's PC.
 func TestRunTraceRecords(t *testing.T) {
-	b := prog.NewBuilder("trace")
+	b := prog.NewBuilder("records")
 	buf := b.Word64(42)
 	b.La(1, buf)
 	b.Ld(2, 0, 1)
 	b.Addi(2, 2, 1)
 	b.Sd(2, 0, 1)
 	b.Halt()
-	tr, err := RunTrace(b.MustBuild(), 100)
-	if err != nil {
-		t.Fatal(err)
+	m := New(b.MustBuild())
+	var recs []Record
+	for m.Count < 100 && !m.Halted {
+		r, err := m.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
 	}
-	if !tr.Halted {
-		t.Fatal("trace should end in halt")
+	if !m.Halted {
+		t.Fatal("program should end in halt")
 	}
 	var sawLoad, sawStore bool
-	for i := 0; i < tr.Len(); i++ {
-		r := tr.At(i)
+	for i, r := range recs {
 		if r.IsLoad {
 			sawLoad = true
 			if r.LoadVal != 42 {
@@ -206,12 +213,12 @@ func TestRunTraceRecords(t *testing.T) {
 				t.Errorf("store value %d", r.StoreVal)
 			}
 		}
-		if i > 0 && tr.At(i-1).NextPC != r.PC {
-			t.Errorf("trace discontinuity at %d", i)
+		if i > 0 && recs[i-1].NextPC != r.PC {
+			t.Errorf("record discontinuity at %d", i)
 		}
 	}
 	if !sawLoad || !sawStore {
-		t.Error("trace missing memory records")
+		t.Error("records missing memory operations")
 	}
 }
 

@@ -50,6 +50,8 @@ func TestMisalignedStoreFaults(t *testing.T) {
 	}
 }
 
+// TestRunTraceErrors checks that a run of the batch loop surfaces a
+// misaligned load's fault instead of running past it.
 func TestRunTraceErrors(t *testing.T) {
 	b := prog.NewBuilder("bad")
 	buf := b.Alloc(16, 8)
@@ -57,8 +59,9 @@ func TestRunTraceErrors(t *testing.T) {
 	b.Addi(1, 1, 1)
 	b.Ld(2, 0, 1)
 	b.Halt()
-	if _, err := RunTrace(b.MustBuild(), 100); err == nil {
-		t.Fatal("RunTrace must surface faults")
+	m := New(b.MustBuild())
+	if err := m.Run(100, nil); err == nil || !strings.Contains(err.Error(), "misaligned") {
+		t.Fatalf("Run returned %v, want the misaligned-load fault", err)
 	}
 }
 
@@ -66,11 +69,15 @@ func TestHaltRecordShape(t *testing.T) {
 	b := prog.NewBuilder("h2")
 	b.Nop()
 	b.Halt()
-	tr, err := RunTrace(b.MustBuild(), 100)
-	if err != nil {
-		t.Fatal(err)
+	m := New(b.MustBuild())
+	var last Record
+	for !m.Halted {
+		r, err := m.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = r
 	}
-	last := tr.At(tr.Len() - 1)
 	if !last.Halt || last.Inst.Op != isa.OpHalt {
 		t.Fatalf("last record: %+v", last)
 	}

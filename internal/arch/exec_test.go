@@ -148,6 +148,24 @@ func refStep(m *Machine) (Record, error) {
 	return rec, nil
 }
 
+// Outputs returns what Exec returned for the instruction r records, the
+// inverse of RecordOf.
+func (r *Record) Outputs() (val, addr uint64, taken bool) {
+	switch {
+	case r.IsLoad:
+		val = r.LoadVal
+	case r.IsStore:
+		val = r.StoreVal
+	default:
+		val = r.DestVal
+	}
+	addr = r.Addr
+	if r.Inst.Op == isa.OpJalr {
+		addr = r.NextPC
+	}
+	return val, addr, r.Taken
+}
+
 // lockstepSteps bounds one lockstep comparison.
 const lockstepSteps = 1000
 

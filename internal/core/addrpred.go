@@ -14,39 +14,20 @@ package core
 // (SearchEntriesSFC/MDT) — never a forwarding, disambiguation, or
 // architectural outcome.
 
-// AddrPredConfig sizes the address predictor. The zero value disables it;
+// AddrPredConfig enables the address predictor. The zero value disables it;
 // comparable so pipeline configs stay ==-comparable.
 type AddrPredConfig struct {
 	Enabled bool
-	Entries int   // table entries (power of two)
-	MinConf uint8 // confidence required before predicting
 }
 
-// AddrPredDefaults returns the default enabled configuration.
-func AddrPredDefaults() AddrPredConfig {
-	return AddrPredConfig{Enabled: true, Entries: 512, MinConf: 2}
-}
+// AddrPredDefaults returns the enabled configuration.
+func AddrPredDefaults() AddrPredConfig { return AddrPredConfig{Enabled: true} }
 
-// WithDefaults fills unset sizing fields of an enabled config and rounds
-// Entries to a power of two; a disabled config passes through untouched.
-func (c AddrPredConfig) WithDefaults() AddrPredConfig {
-	if !c.Enabled {
-		return c
-	}
-	d := AddrPredDefaults()
-	if c.Entries <= 0 {
-		c.Entries = d.Entries
-	}
-	if c.MinConf == 0 {
-		c.MinConf = d.MinConf
-	}
-	p := 1
-	for p < c.Entries {
-		p *= 2
-	}
-	c.Entries = p
-	return c
-}
+// The address predictor's geometry, which no configuration varies.
+const (
+	addrPredEntries = 512 // table entries (a power of two)
+	addrPredMinConf = 2   // confidence required before predicting
+)
 
 type addrPredEntry struct {
 	tag      uint32
@@ -59,26 +40,17 @@ type addrPredEntry struct {
 // lastAddr+stride for PCs whose stride has repeated (stride 0 covers
 // loads that re-touch one address, the PCAX sweet spot).
 type AddrPred struct {
-	cfg  AddrPredConfig
-	tab  []addrPredEntry
-	mask uint32
+	tab [addrPredEntries]addrPredEntry
 }
 
 // NewAddrPred builds the predictor.
-func NewAddrPred(cfg AddrPredConfig) *AddrPred {
-	cfg = cfg.WithDefaults()
-	return &AddrPred{
-		cfg:  cfg,
-		tab:  make([]addrPredEntry, cfg.Entries),
-		mask: uint32(cfg.Entries - 1),
-	}
-}
+func NewAddrPred() *AddrPred { return &AddrPred{} }
 
 // PredictAddr returns the predicted data address for the load at pc, and
 // whether the entry is confident enough to use. Read-only.
 func (a *AddrPred) PredictAddr(pc uint64) (uint64, bool) {
-	e := &a.tab[uint32(pc>>2)&a.mask]
-	if e.tag != uint32(pc>>2) || e.conf < a.cfg.MinConf {
+	e := &a.tab[uint32(pc>>2)&(addrPredEntries-1)]
+	if e.tag != uint32(pc>>2) || e.conf < addrPredMinConf {
 		return 0, false
 	}
 	return e.lastAddr + uint64(e.stride), true
@@ -87,7 +59,7 @@ func (a *AddrPred) PredictAddr(pc uint64) (uint64, bool) {
 // Train records the load at pc actually accessed addr (called at execute,
 // once the address is known).
 func (a *AddrPred) Train(pc, addr uint64) {
-	e := &a.tab[uint32(pc>>2)&a.mask]
+	e := &a.tab[uint32(pc>>2)&(addrPredEntries-1)]
 	if e.tag != uint32(pc>>2) {
 		*e = addrPredEntry{tag: uint32(pc >> 2), lastAddr: addr}
 		return
@@ -107,9 +79,6 @@ func (a *AddrPred) Train(pc, addr uint64) {
 	}
 	e.lastAddr = addr
 }
-
-// Config returns the canonicalized configuration.
-func (a *AddrPred) Config() AddrPredConfig { return a.cfg }
 
 // Reset restores the freshly-built state, reusing the table.
 func (a *AddrPred) Reset() {

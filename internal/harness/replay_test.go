@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"sfcmdt/internal/arch"
 	"sfcmdt/internal/blob"
 	"sfcmdt/internal/pipeline"
 	"sfcmdt/internal/replay"
@@ -14,10 +13,11 @@ import (
 	"sfcmdt/internal/workload"
 )
 
-// TestRunMatrixLockstepReplayIdentical pins the runner's replay streams to
-// the golden model end to end: the same workload × configuration matrix run
-// through the pooled runner and through fresh pipelines consuming the golden
-// AoS trace directly must produce identical statistics everywhere.
+// TestRunMatrixLockstepReplayIdentical pins the runner's shared streams and
+// recycled pipelines end to end: the same workload × configuration matrix
+// run through the pooled runner, whose cache materializes one stream per
+// workload, and through a fresh pipeline on a freshly materialized stream
+// per cell must produce identical statistics everywhere.
 func TestRunMatrixLockstepReplayIdentical(t *testing.T) {
 	ws := []workload.Workload{mustWorkload(t, "gzip"), mustWorkload(t, "mcf")}
 	pcfgs := []pipeline.Config{
@@ -32,21 +32,21 @@ func TestRunMatrixLockstepReplayIdentical(t *testing.T) {
 	}
 	for i, w := range ws {
 		img := w.Build()
-		tr, err := arch.RunTrace(img, 5_000)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for j, cfg := range pcfgs {
-			p, err := pipeline.NewWithTrace(cfg, img, tr)
+			s, err := replay.Materialize(img, 5_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := pipeline.NewWithTrace(cfg, img, s.All())
 			if err != nil {
 				t.Fatal(err)
 			}
 			want, err := p.Run()
 			if err != nil {
-				t.Fatalf("%s under %s: trace run: %v", w.Name, cfg.Name, err)
+				t.Fatalf("%s under %s: fresh run: %v", w.Name, cfg.Name, err)
 			}
 			if *replayRes[i][j].Stats != *want {
-				t.Errorf("%s under %s: replay diverged from the trace\nreplay: %+v\ntrace:  %+v",
+				t.Errorf("%s under %s: pooled runner diverged from a fresh pipeline\npooled: %+v\nfresh:  %+v",
 					w.Name, cfg.Name, *replayRes[i][j].Stats, *want)
 			}
 		}

@@ -34,7 +34,7 @@ type Result struct {
 type material struct {
 	once sync.Once
 	img  *prog.Image
-	src  pipeline.ReplaySource
+	src  *replay.View
 	err  error
 }
 
@@ -48,8 +48,8 @@ type sampMaterial struct {
 	err  error
 }
 
-// Runner executes pipeline runs, caching each workload's image and golden
-// trace (the trace depends only on the instruction budget, not the
+// Runner executes pipeline runs, caching each workload's image and reference
+// stream (the stream depends only on the instruction budget, not the
 // configuration) and fanning runs out across CPUs. Pipelines are recycled
 // through a pool via Pipeline.Reset, so a figure-sized batch of runs reuses
 // a few pipelines' worth of simulator state instead of reconstructing it
@@ -132,7 +132,7 @@ func (r *Runner) TotalCyclesElided() uint64 { return r.elided.Load() }
 // materialize returns the cached image and reference stream for a workload,
 // building them at most once even under concurrent misses. The stream comes
 // from the runner's cache, creating a private one on first use.
-func (r *Runner) materialize(w workload.Workload) (*prog.Image, pipeline.ReplaySource, error) {
+func (r *Runner) materialize(w workload.Workload) (*prog.Image, *replay.View, error) {
 	r.mu.Lock()
 	if r.mats == nil {
 		r.mats = make(map[string]*material)

@@ -1,14 +1,28 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
-	"sfcmdt/internal/arch"
+	"sfcmdt/internal/prog"
+	"sfcmdt/internal/replay"
 	"sfcmdt/internal/workload"
 )
 
-// buildWorkloadPipeline materializes a real workload and binds a pipeline to
-// it with a budget large enough that the tests below never hit end-of-trace.
+// streamView materializes img's reference stream over at most n
+// instructions and returns its whole view, bound to img.
+func streamView(t testing.TB, img *prog.Image, n uint64) *replay.View {
+	t.Helper()
+	s, err := replay.Materialize(img, n)
+	if err != nil {
+		t.Fatalf("%s: Materialize: %v", img.Name, err)
+	}
+	return s.All()
+}
+
+// buildWorkloadPipeline materializes a real workload's stream and binds a
+// pipeline to its view through NewWithTrace, as the harness and bench/ do,
+// with a budget large enough that the tests below never hit its end.
 func buildWorkloadPipeline(t *testing.T, name string, cfg Config, maxInsts uint64) *Pipeline {
 	t.Helper()
 	w, ok := workload.Get(name)
@@ -17,21 +31,16 @@ func buildWorkloadPipeline(t *testing.T, name string, cfg Config, maxInsts uint6
 	}
 	img := w.Build()
 	cfg.MaxInsts = maxInsts
-	tr, err := arch.RunTrace(img, maxInsts)
-	if err != nil {
-		t.Fatalf("RunTrace: %v", err)
-	}
-	p, err := NewWithTrace(cfg, img, tr)
+	p, err := NewWithTrace(cfg, img, streamView(t, img, maxInsts))
 	if err != nil {
 		t.Fatalf("NewWithTrace: %v", err)
 	}
 	return p
 }
 
-// buildStreamPipeline is buildWorkloadPipeline bound the way production binds
-// a pipeline: New materializes a columnar replay stream and binds its
-// *replay.View, so the zero-alloc tests cover the view-bound fetch and
-// retire paths as well as the AoS trace's.
+// buildStreamPipeline is buildWorkloadPipeline through New, which
+// materializes the stream itself, so the zero-alloc tests cover both ways a
+// pipeline is built.
 func buildStreamPipeline(t *testing.T, name string, cfg Config, maxInsts uint64) *Pipeline {
 	t.Helper()
 	w, ok := workload.Get(name)
@@ -163,13 +172,9 @@ func TestResetMatchesFresh(t *testing.T) {
 
 	wA, _ := workload.Get("gzip")
 	imgA := wA.Build()
-	trA, err := arch.RunTrace(imgA, 3000)
-	if err != nil {
-		t.Fatalf("RunTrace: %v", err)
-	}
 	cfgA := cfgs[0]
 	cfgA.MaxInsts = 3000
-	if err := p.Reset(cfgA, imgA, trA); err != nil {
+	if err := p.Reset(cfgA, imgA, streamView(t, imgA, 3000)); err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
 	if got := run(p); got != freshA {
@@ -178,16 +183,64 @@ func TestResetMatchesFresh(t *testing.T) {
 
 	wB, _ := workload.Get("mcf")
 	imgB := wB.Build()
-	trB, err := arch.RunTrace(imgB, 3000)
-	if err != nil {
-		t.Fatalf("RunTrace: %v", err)
-	}
 	cfgB := cfgs[1]
 	cfgB.MaxInsts = 3000
-	if err := p.Reset(cfgB, imgB, trB); err != nil {
+	if err := p.Reset(cfgB, imgB, streamView(t, imgB, 3000)); err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
 	if got := run(p); got != freshB {
 		t.Errorf("reset pipeline (MDTSFC→LSQ, gzip→mcf) diverged from fresh run:\n got  %+v\n want %+v", got, freshB)
+	}
+}
+
+// TestResetRejectsUnboundView pins the binding check: a view of another
+// program's stream, and a view of the program's own stream decoded but
+// never bound, fail NewWithTrace and Reset with an error instead of running
+// against the wrong predecode table, and a failed Reset leaves the pipeline
+// as it was.
+func TestResetRejectsUnboundView(t *testing.T) {
+	const insts = 2000
+	gzip, _ := workload.Get("gzip")
+	mcf, _ := workload.Get("mcf")
+	img := mcf.Build()
+	cfg := testConfigs(insts)[0]
+	good := streamView(t, img, insts)
+	unbound, err := replay.Decode(good.Stream().Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewWithTrace(cfg, img, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := *st
+	for _, tc := range []struct {
+		name string
+		v    *replay.View
+	}{
+		{"gzip's stream", streamView(t, gzip.Build(), insts)},
+		{"unbound", unbound.All()},
+	} {
+		const want = "is not bound to image"
+		if _, err := NewWithTrace(cfg, img, tc.v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: NewWithTrace returned %v, want an error containing %q", tc.name, err, want)
+		}
+		if err := p.Reset(cfg, img, tc.v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Reset returned %v, want an error containing %q", tc.name, err, want)
+		}
+	}
+	if err := p.Reset(cfg, img, good); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != ref {
+		t.Errorf("run after the rejected Resets diverged:\n got  %+v\n want %+v", *got, ref)
 	}
 }

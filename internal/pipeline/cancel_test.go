@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"sfcmdt/internal/arch"
 )
 
 // never is a non-nil, never-closed Done channel: it forces RunContext off
@@ -40,11 +38,8 @@ func TestRunContextCancelThenReuse(t *testing.T) {
 	for _, cfg := range testConfigs(20_000) {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
-			tr, err := arch.RunTrace(img, cfg.MaxInsts)
-			if err != nil {
-				t.Fatalf("RunTrace: %v", err)
-			}
-			p, err := NewWithTrace(cfg, img, tr)
+			v := streamView(t, img, cfg.MaxInsts)
+			p, err := NewWithTrace(cfg, img, v)
 			if err != nil {
 				t.Fatalf("NewWithTrace: %v", err)
 			}
@@ -56,7 +51,7 @@ func TestRunContextCancelThenReuse(t *testing.T) {
 
 			// Abort a second run on the same pipeline at the first context
 			// poll (~ctxCheckCycles in).
-			if err := p.Reset(cfg, img, tr); err != nil {
+			if err := p.Reset(cfg, img, v); err != nil {
 				t.Fatalf("Reset: %v", err)
 			}
 			partial, err := p.RunContext(&countdownCtx{Context: context.Background(), n: 0})
@@ -72,7 +67,7 @@ func TestRunContextCancelThenReuse(t *testing.T) {
 
 			// The aborted pipeline must come back clean: a full rerun after
 			// Reset reproduces the reference statistics exactly.
-			if err := p.Reset(cfg, img, tr); err != nil {
+			if err := p.Reset(cfg, img, v); err != nil {
 				t.Fatalf("Reset after abort: %v", err)
 			}
 			st2, err := p.Run()
@@ -91,11 +86,8 @@ func TestRunContextCancelThenReuse(t *testing.T) {
 func TestRunContextBackgroundMatchesRun(t *testing.T) {
 	img := sumProgram(t, 500)
 	cfg := testConfigs(5_000)[0]
-	tr, err := arch.RunTrace(img, cfg.MaxInsts)
-	if err != nil {
-		t.Fatalf("RunTrace: %v", err)
-	}
-	p, err := NewWithTrace(cfg, img, tr)
+	v := streamView(t, img, cfg.MaxInsts)
+	p, err := NewWithTrace(cfg, img, v)
 	if err != nil {
 		t.Fatalf("NewWithTrace: %v", err)
 	}
@@ -104,7 +96,7 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	ref := *st
-	if err := p.Reset(cfg, img, tr); err != nil {
+	if err := p.Reset(cfg, img, v); err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
 	st2, err := p.RunContext(context.Background())

@@ -9,7 +9,7 @@
 // instruction re-execution mechanism ("the memory unit can drop an executing
 // load or store and place the instruction back on the scheduler's ready
 // list"), and in-order retirement validated against the architectural
-// golden-model trace.
+// golden model's reference stream.
 package pipeline
 
 import (
@@ -200,8 +200,6 @@ func (c *Config) Validate() error {
 			c.BPred.SpecDepth = p
 		}
 	}
-	c.Prefetch = c.Prefetch.WithDefaults()
-	c.Preprobe = c.Preprobe.WithDefaults()
 	if c.MaxInsts == 0 {
 		c.MaxInsts = 200_000
 	}

@@ -12,9 +12,9 @@
 //     branches resolve (mispredicts recover immediately), and pending
 //     memory-dependence violations trigger recovery.
 //  2. retire — up to Width completed instructions leave the ROB head in
-//     order. Each is validated field-by-field against the reference
-//     stream: read straight from the columns of a replay view, or from
-//     the record of any other source (the golden trace). Stores commit
+//     order. Each is validated field-by-field against the bound view's
+//     stream, read straight from its columns; only a mismatch rebuilds
+//     the instruction's record, to word the error. Stores commit
 //     through the store FIFO (or LSQ) to memory; loads and stores run
 //     their MDT/SFC retirement hooks. The value-replay subsystem performs
 //     its retirement-time re-read here, before validation, and may itself
@@ -67,9 +67,11 @@
 //
 // # Correct-path tracking and wrong-path execution
 //
-// The reference stream (a replay view, or the golden trace it is pinned to)
-// drives two things. At fetch, the pipeline knows whether it is on the
-// correct path (each correct-path instruction carries its trace index);
+// The reference stream — the replay view the pipeline is bound to, which
+// the golden model's Step reproduces record for record — drives two
+// things. At fetch, the pipeline knows whether it is on the correct path
+// (each correct-path instruction carries its stream index), and the
+// stream's columns supply the oracle's branch outcomes and indirect targets;
 // when a prediction diverges from the stream, subsequent fetches are
 // wrong-path: they execute normally — computing garbage values, touching
 // the caches, writing the SFC — until a recovery squashes them.

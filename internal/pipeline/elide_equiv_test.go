@@ -184,7 +184,8 @@ func TestElideResetReuse(t *testing.T) {
 	noElideCfg := cfg
 	noElideCfg.noElide = true
 
-	p, err := New(noElideCfg, img)
+	v := streamView(t, img, cfg.MaxInsts)
+	p, err := NewWithTrace(noElideCfg, img, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +196,7 @@ func TestElideResetReuse(t *testing.T) {
 	ref := *want
 	for i := 0; i < 3; i++ {
 		for _, c := range []Config{cfg, noElideCfg} {
-			fresh, err := New(c, img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Reset(c, fresh.img, fresh.src); err != nil {
+			if err := p.Reset(c, img, v); err != nil {
 				t.Fatal(err)
 			}
 			got, err := p.Run()

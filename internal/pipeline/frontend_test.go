@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"sfcmdt/internal/arch"
 	"sfcmdt/internal/bpred"
 	"sfcmdt/internal/core"
 	"sfcmdt/internal/metrics"
@@ -194,12 +193,8 @@ func TestFrontendResetMatchesFresh(t *testing.T) {
 	reset := func(name string, cfg Config) *metrics.Stats {
 		w, _ := workload.Get(name)
 		img := w.Build()
-		tr, err := arch.RunTrace(img, insts)
-		if err != nil {
-			t.Fatalf("RunTrace: %v", err)
-		}
 		cfg.MaxInsts = insts
-		if err := p.Reset(cfg, img, tr); err != nil {
+		if err := p.Reset(cfg, img, streamView(t, img, insts)); err != nil {
 			t.Fatalf("Reset: %v", err)
 		}
 		st, err := p.Run()
@@ -223,7 +218,7 @@ func TestFrontendResetMatchesFresh(t *testing.T) {
 
 // TestFrontendSquashRecovery pins speculative-history recovery with the full
 // frontend enabled on a branchy workload: the run must validate retirement
-// against the golden trace (NewWithTrace does) while squashing heavily, and
+// against the reference stream while squashing heavily, and
 // mispredict flushes must leave the TAGE folded histories consistent — any
 // drift shows up as validation failure or a mispredict-rate explosion.
 func TestFrontendSquashRecovery(t *testing.T) {
@@ -249,35 +244,26 @@ func TestFrontendSquashRecovery(t *testing.T) {
 
 // TestFrontendSteadyStateZeroAllocs extends the zero-alloc gate to the full
 // frontend stack: TAGE lookups/updates, prefetch training and issue, and
-// pre-probes must not allocate on the steady-state cycle path, bound to
-// either kind of reference stream.
+// pre-probes must not allocate on the steady-state cycle path.
 func TestFrontendSteadyStateZeroAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		build func(*testing.T, string, Config, uint64) *Pipeline
-	}{
-		{"trace", buildWorkloadPipeline},
-		{"stream", buildStreamPipeline},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := tc.build(t, "strided", frontendConfig(0), 400_000)
-			for i := 0; i < 30_000; i++ {
-				if !p.Step() {
-					t.Fatalf("pipeline finished during warmup (retired %d)", p.Stats().Retired)
-				}
+	t.Run("stream", func(t *testing.T) {
+		p := buildStreamPipeline(t, "strided", frontendConfig(0), 400_000)
+		for i := 0; i < 30_000; i++ {
+			if !p.Step() {
+				t.Fatalf("pipeline finished during warmup (retired %d)", p.Stats().Retired)
 			}
-			const stepsPerRun = 2000
-			avg := testing.AllocsPerRun(5, func() {
-				for i := 0; i < stepsPerRun; i++ {
-					p.step()
-				}
-			})
-			if p.done {
-				t.Fatalf("pipeline finished during measurement (retired %d)", p.Stats().Retired)
-			}
-			if perCycle := avg / stepsPerRun; perCycle != 0 {
-				t.Errorf("frontend steady-state cycle allocates %.4f allocs/cycle, want 0", perCycle)
+		}
+		const stepsPerRun = 2000
+		avg := testing.AllocsPerRun(5, func() {
+			for i := 0; i < stepsPerRun; i++ {
+				p.step()
 			}
 		})
-	}
+		if p.done {
+			t.Fatalf("pipeline finished during measurement (retired %d)", p.Stats().Retired)
+		}
+		if perCycle := avg / stepsPerRun; perCycle != 0 {
+			t.Errorf("frontend steady-state cycle allocates %.4f allocs/cycle, want 0", perCycle)
+		}
+	})
 }

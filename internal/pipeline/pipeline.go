@@ -31,7 +31,7 @@ type entry struct {
 	inst isa.Inst
 	dec  *isa.DecodedInst // shared read-only pre-decoded metadata
 
-	traceIdx   int // index into the golden trace; -1 on the wrong path
+	traceIdx   int // index into the reference stream; -1 on the wrong path
 	predNextPC uint64
 	ghrBefore  uint32 // speculative global history before this instruction
 	ghrAfter   uint32
@@ -125,13 +125,12 @@ type waiter struct {
 var wrongPathNop = isa.PredecodeInst(isa.Inst{Op: isa.OpNop})
 
 // Pipeline is one configured processor instance bound to one program's
-// correct-path reference stream (a golden trace or a replay view).
+// correct-path reference stream, a replay view.
 type Pipeline struct {
 	cfg    Config
 	img    *prog.Image
-	src    ReplaySource
-	srcLen int            // src.Len()
-	stream *replay.Stream // src's columns when src is a *replay.View, else nil
+	stream *replay.Stream // the bound view's columns, read by fetch and retirement
+	srcLen int            // the bound view's length, which bounds the run
 	memory *mem.Sparse
 	hier   *mem.Hierarchy
 	bp     bpred.Predictor
@@ -169,8 +168,8 @@ type Pipeline struct {
 	consumers  [][]waiter
 	tagWaiters [][]waiter
 
-	// Pre-decoded static code segment, shared read-only with the golden
-	// trace (and through it with every other run of the same workload).
+	// Pre-decoded static code segment, shared read-only with the bound
+	// stream (and through it with every other run of the same workload).
 	dec       []isa.DecodedInst
 	codeBase  uint64
 	codeLimit uint64
@@ -218,12 +217,13 @@ func New(cfg Config, img *prog.Image) (*Pipeline, error) {
 	return NewWithTrace(cfg, img, stream.All())
 }
 
-// NewWithTrace builds a pipeline against a precomputed reference stream —
-// a golden *arch.Trace (lockstep oracle) or a *replay.View (shared columnar
-// stream). The harness reuses one source across configurations.
-func NewWithTrace(cfg Config, img *prog.Image, src ReplaySource) (*Pipeline, error) {
+// NewWithTrace builds a pipeline against a precomputed reference stream: a
+// view of a stream bound to img (replay.Stream.Bind), which the harness
+// shares across configurations. The name predates the view and stays
+// because the benchmark module (bench/) calls it.
+func NewWithTrace(cfg Config, img *prog.Image, v *replay.View) (*Pipeline, error) {
 	p := &Pipeline{}
-	if err := p.Reset(cfg, img, src); err != nil {
+	if err := p.Reset(cfg, img, v); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -232,9 +232,9 @@ func NewWithTrace(cfg Config, img *prog.Image, src ReplaySource) (*Pipeline, err
 // StartState is the warm architectural state a pipeline starts from when its
 // run begins mid-program: register file, first PC to fetch, and memory
 // contents at the start point. It is produced by functional fast-forward or
-// a restored checkpoint (snapshot.State.StartState); the trace passed
-// alongside it must begin at the same point (arch.RunTraceFrom on the same
-// machine). Mem is read-only here — the pipeline copies it into its own
+// a restored checkpoint (snapshot.State.StartState); the view passed
+// alongside it must begin at the same point (replay.MaterializeFrom on the
+// same machine). Mem is read-only here — the pipeline copies it into its own
 // memory, so one StartState can seed many configs concurrently.
 type StartState struct {
 	Regs [isa.NumRegs]uint64
@@ -247,9 +247,9 @@ type StartState struct {
 // sequence numbers, caches, branch predictor, dependence predictor, MDT/SFC
 // — starts cold, exactly as in New; only the architectural state (registers,
 // PC, memory) is warm.
-func NewFrom(cfg Config, img *prog.Image, src ReplaySource, st *StartState) (*Pipeline, error) {
+func NewFrom(cfg Config, img *prog.Image, v *replay.View, st *StartState) (*Pipeline, error) {
 	p := &Pipeline{}
-	if err := p.ResetFrom(cfg, img, src, st); err != nil {
+	if err := p.ResetFrom(cfg, img, v, st); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -260,35 +260,36 @@ func NewFrom(cfg Config, img *prog.Image, src ReplaySource, st *StartState) (*Pi
 // (tables, rings, the event wheel, pooled entries, the sparse memory's page
 // map). A reset pipeline is observably identical to a freshly-constructed
 // one — the harness relies on this to recycle pipelines across
-// (workload × variant) runs.
-func (p *Pipeline) Reset(cfg Config, img *prog.Image, src ReplaySource) error {
-	return p.reset(cfg, img, src, nil)
+// (workload × variant) runs. The view's stream must be bound to img: Reset
+// fails, and leaves the pipeline as it was, for a stream of another
+// workload, code base or code length, or one never bound.
+func (p *Pipeline) Reset(cfg Config, img *prog.Image, v *replay.View) error {
+	return p.reset(cfg, img, v, nil)
 }
 
 // ResetFrom is Reset for a run that starts from a warm mid-program state (see
 // NewFrom). A nil st is exactly Reset. The same recycling guarantee holds:
 // ResetFrom on a used pipeline is observably identical to NewFrom.
-func (p *Pipeline) ResetFrom(cfg Config, img *prog.Image, src ReplaySource, st *StartState) error {
-	return p.reset(cfg, img, src, st)
+func (p *Pipeline) ResetFrom(cfg Config, img *prog.Image, v *replay.View, st *StartState) error {
+	return p.reset(cfg, img, v, st)
 }
 
-func (p *Pipeline) reset(cfg Config, img *prog.Image, src ReplaySource, st *StartState) error {
+func (p *Pipeline) reset(cfg Config, img *prog.Image, v *replay.View, st *StartState) error {
 	if err := cfg.Validate(); err != nil {
 		return err
+	}
+	s := v.Stream()
+	if s.Workload != img.Name || s.CodeBase != img.CodeBase || len(s.Decoded()) != len(img.Code) {
+		return fmt.Errorf("pipeline: reference stream of %q (code base %#x, %d decoded instructions) is not bound to image %q (code base %#x, %d instructions)",
+			s.Workload, s.CodeBase, len(s.Decoded()), img.Name, img.CodeBase, len(img.Code))
 	}
 	p.cfg = cfg
 	if p.cfg.maxCycles == 0 {
 		p.cfg.maxCycles = 400*cfg.MaxInsts + 2_000_000
 	}
 	p.img = img
-	p.src = src
-	p.srcLen = src.Len()
-	// A replay view's columns are read directly by fetch and retirement;
-	// any other source (the golden trace) answers through the interface.
-	p.stream = nil
-	if v, ok := src.(*replay.View); ok {
-		p.stream = v.Stream()
-	}
+	p.stream = s
+	p.srcLen = v.Len()
 
 	if st != nil {
 		if p.memory == nil {
@@ -317,8 +318,8 @@ func (p *Pipeline) reset(cfg Config, img *prog.Image, src ReplaySource, st *Star
 	switch {
 	case cfg.Prefetch.Kind == prefetch.KindNone:
 		p.pf = nil
-	case p.pf == nil || p.pf.Config() != cfg.Prefetch:
-		p.pf = prefetch.NewStride(cfg.Prefetch)
+	case p.pf == nil:
+		p.pf = prefetch.NewStride()
 	default:
 		p.pf.Reset()
 	}
@@ -329,8 +330,8 @@ func (p *Pipeline) reset(cfg Config, img *prog.Image, src ReplaySource, st *Star
 	switch {
 	case !cfg.Preprobe.Enabled:
 		p.app = nil
-	case p.app == nil || p.app.Config() != cfg.Preprobe:
-		p.app = core.NewAddrPred(cfg.Preprobe)
+	case p.app == nil:
+		p.app = core.NewAddrPred()
 	default:
 		p.app.Reset()
 	}
@@ -412,14 +413,7 @@ func (p *Pipeline) reset(cfg Config, img *prog.Image, src ReplaySource, st *Star
 	}
 	p.pred.WakeHook = p.onTagReady
 
-	// Bind the shared pre-decoded code table; a source built outside
-	// arch.RunTrace / replay (or against a different image) falls back to
-	// decoding here.
-	if dec := src.Decoded(); len(dec) == len(img.Code) {
-		p.dec = dec
-	} else {
-		p.dec = isa.Predecode(img.Code)
-	}
+	p.dec = s.Decoded()
 	p.codeBase = img.CodeBase
 	p.codeLimit = img.CodeLimit()
 	drain := func(e *entry) {
@@ -540,7 +534,7 @@ func (p *Pipeline) fail(err error) {
 	p.done = true
 }
 
-// Run simulates until the whole trace has retired (or an error occurs) and
+// Run simulates until the whole bound view has retired (or an error occurs) and
 // returns the final statistics. Unless Config.noElide pins the stepped
 // oracle, each step is followed by an elision attempt that jumps the clock
 // over provably quiescent spans (see elide.go); the two loops are
@@ -569,7 +563,7 @@ func (p *Pipeline) RunContext(ctx context.Context) (*metrics.Stats, error) {
 	return p.run(ctx, math.MaxUint64)
 }
 
-// RunUntilRetired simulates until at least n instructions of the bound trace
+// RunUntilRetired simulates until at least n instructions of the bound view
 // have retired (or the run finishes or fails first), polling ctx like
 // RunContext. The returned stats are the live record finalized up to the stop
 // point: the sampler snapshots them here, lets the run continue, and takes a
@@ -850,7 +844,7 @@ func (p *Pipeline) firstAtOrAfter(from seqnum.Seq) int {
 
 // recover squashes every instruction with seq >= from, restores the rename
 // and history state, and redirects fetch to resumePC after the given
-// penalty. resumeTrace is the golden-trace index of the instruction at
+// penalty. resumeTrace is the stream index of the instruction at
 // resumePC, or -1 if recovery lands on the wrong path. resolveDir < 0
 // restores the ghr checkpoint verbatim; 0/1 treats ghr as the checkpoint
 // taken before a mispredicted conditional branch and shifts the resolved
@@ -1022,10 +1016,10 @@ func (p *Pipeline) validateRetire(e *entry) error {
 		return fmt.Errorf("retiring seq %d pc=%#x %s: trace index %d, expected %d (wrong-path instruction reached retirement?)",
 			e.seq, e.pc, e.inst, e.traceIdx, p.retired)
 	}
-	if p.stream != nil && p.retireMatchesStream(e) {
+	if p.retireMatchesStream(e) {
 		return nil
 	}
-	rec := p.src.RecordAt(p.retired)
+	rec := p.stream.RecordAt(p.retired)
 	if rec.PC != e.pc {
 		return fmt.Errorf("retire #%d: pc %#x, trace has %#x", p.retired, e.pc, rec.PC)
 	}
@@ -1651,30 +1645,8 @@ func (p *Pipeline) dispatch() {
 // ---------------------------------------------------------------------------
 // Fetch.
 
-// truePC, trueTaken and trueNext are the front-end oracle: correct-path
-// instruction i's PC, branch outcome and next PC, read from the bound
-// stream's columns when the source is a replay view.
-func (p *Pipeline) truePC(i int) uint64 {
-	if p.stream != nil {
-		return p.stream.PCAt(i)
-	}
-	return p.src.PCAt(i)
-}
-
-func (p *Pipeline) trueTaken(i int) bool {
-	if p.stream != nil {
-		return p.stream.TakenAt(i)
-	}
-	return p.src.TakenAt(i)
-}
-
-func (p *Pipeline) trueNext(i int) uint64 {
-	if p.stream != nil {
-		return p.stream.NextPCAt(i)
-	}
-	return p.src.NextPCAt(i)
-}
-
+// fetch's front-end oracle is the bound stream: correct-path instruction i's
+// PC, branch outcome and next PC are its PCAt, TakenAt and NextPCAt.
 func (p *Pipeline) fetch() {
 	if p.fetchHalted || p.cycle < p.fetchStallUntil {
 		return
@@ -1717,7 +1689,7 @@ func (p *Pipeline) fetch() {
 			dir := p.bp.Predict(pc)
 			p.bpc.Lookups++
 			if p.onCorrectPath {
-				trueTaken := p.trueTaken(p.fetchTraceIdx)
+				trueTaken := p.stream.TakenAt(p.fetchTraceIdx)
 				if dir != trueTaken {
 					p.bpc.BaseWrong++
 					if p.bp.OracleFixes(uint64(seq)) {
@@ -1737,7 +1709,7 @@ func (p *Pipeline) fetch() {
 			if p.onCorrectPath {
 				// Perfect indirect-target prediction on the correct path
 				// (the paper's front end oracle covers target supply).
-				predNext = p.trueNext(p.fetchTraceIdx)
+				predNext = p.stream.NextPCAt(p.fetchTraceIdx)
 			}
 			// Wrong path: predict fall-through; execute will redirect.
 		case in.Op == isa.OpHalt:
@@ -1749,11 +1721,11 @@ func (p *Pipeline) fetch() {
 
 		traceIdx := -1
 		if p.onCorrectPath {
-			if truePC := p.truePC(p.fetchTraceIdx); truePC != pc {
+			if truePC := p.stream.PCAt(p.fetchTraceIdx); truePC != pc {
 				p.fail(fmt.Errorf("correct-path fetch at %#x, trace expects %#x (idx %d)", pc, truePC, p.fetchTraceIdx))
 				return
 			}
-			trueNext := p.trueNext(p.fetchTraceIdx)
+			trueNext := p.stream.NextPCAt(p.fetchTraceIdx)
 			traceIdx = p.fetchTraceIdx
 			p.fetchTraceIdx++
 			if predNext != trueNext && !isHalt {

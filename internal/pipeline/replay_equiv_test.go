@@ -9,17 +9,23 @@ import (
 	"sfcmdt/internal/replay"
 )
 
-// TestReplayEquivalence pins replay mode to the lockstep oracle: across the
-// same random-program corpus TestSchedulerEquivalence uses and every
-// scheduler-equivalence configuration, a pipeline consuming the columnar
-// replay stream must produce statistics bit-identical to one consuming the
-// golden AoS trace. Any divergence means the stream reconstructed a fetch
-// answer (branch outcome, indirect target, next PC) or a retirement record
-// differently from the functional model.
+// TestReplayEquivalence pins the replay stream to the golden model over the
+// random-program corpus on which TestSchedulerEquivalence runs view-bound
+// pipelines under every scheduler-equivalence configuration: at each of
+// those configurations' budgets, the stream replay.Materialize builds
+// answers every fetch question (PCAt, TakenAt, NextPCAt) and every
+// retirement record (RecordAt) exactly as arch.Machine.Step's record at the
+// same index, with Step's length and halt flag. Any divergence means the
+// stream reconstructs a branch outcome, an indirect target, a next PC or a
+// record differently from the functional model.
 func TestReplayEquivalence(t *testing.T) {
 	n := 200
 	if testing.Short() {
 		n = 30
+	}
+	budgets := map[uint64]bool{}
+	for _, cfg := range schedEquivConfigs() {
+		budgets[cfg.MaxInsts] = true
 	}
 	for seed := 0; seed < n; seed++ {
 		seed := seed
@@ -27,75 +33,33 @@ func TestReplayEquivalence(t *testing.T) {
 			t.Parallel()
 			r := rand.New(rand.NewSource(int64(seed)*65537 + 1))
 			img := randomProgram(r, fmt.Sprintf("req%d", seed))
-			for _, cfg := range schedEquivConfigs() {
-				tr, err := arch.RunTrace(img, cfg.MaxInsts)
+			for budget := range budgets {
+				s, err := replay.Materialize(img, budget)
 				if err != nil {
-					t.Fatalf("%s: trace: %v", cfg.Name, err)
+					t.Fatalf("budget %d: stream: %v", budget, err)
 				}
-				stream, err := replay.FromTrace(img, tr)
-				if err != nil {
-					t.Fatalf("%s: stream: %v", cfg.Name, err)
+				m := arch.New(img)
+				for i := 0; m.Count < budget && !m.Halted; i++ {
+					want, err := m.Step()
+					if err != nil {
+						t.Fatalf("budget %d: Step %d: %v", budget, i, err)
+					}
+					if i >= s.Len() {
+						t.Fatalf("budget %d: stream ends after %d records, Step runs on", budget, s.Len())
+					}
+					if got := s.RecordAt(i); got != want {
+						t.Fatalf("budget %d: record %d:\n stream: %+v\n Step:   %+v", budget, i, got, want)
+					}
+					if s.PCAt(i) != want.PC || s.TakenAt(i) != want.Taken || s.NextPCAt(i) != want.NextPC {
+						t.Fatalf("budget %d: record %d: PCAt %#x TakenAt %v NextPCAt %#x, Step has %#x %v %#x",
+							budget, i, s.PCAt(i), s.TakenAt(i), s.NextPCAt(i), want.PC, want.Taken, want.NextPC)
+					}
 				}
-				lockstep, err := NewWithTrace(cfg, img, tr)
-				if err != nil {
-					t.Fatalf("%s: lockstep: %v", cfg.Name, err)
-				}
-				want, err := lockstep.Run()
-				if err != nil {
-					t.Fatalf("%s: lockstep: %v", cfg.Name, err)
-				}
-				replayed, err := NewWithTrace(cfg, img, stream.All())
-				if err != nil {
-					t.Fatalf("%s: replay: %v", cfg.Name, err)
-				}
-				got, err := replayed.Run()
-				if err != nil {
-					t.Fatalf("%s: replay: %v", cfg.Name, err)
-				}
-				if *got != *want {
-					t.Errorf("%s: replay diverged from lockstep\nlockstep: %+v\nreplay:   %+v", cfg.Name, *want, *got)
+				if uint64(s.Len()) != m.Count || s.Halted != m.Halted {
+					t.Fatalf("budget %d: stream len=%d halted=%v, Step ran %d halted=%v",
+						budget, s.Len(), s.Halted, m.Count, m.Halted)
 				}
 			}
 		})
-	}
-}
-
-// TestReplayEquivalenceResetReuse alternates lockstep and replay sources on
-// one recycled pipeline, the way a mixed-mode harness pool would, so source
-// state from one mode can never leak into the other.
-func TestReplayEquivalenceResetReuse(t *testing.T) {
-	r := rand.New(rand.NewSource(424243))
-	img := randomProgram(r, "reqreuse")
-	cfg := schedEquivConfigs()[0]
-	tr, err := arch.RunTrace(img, cfg.MaxInsts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := replay.FromTrace(img, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewWithTrace(cfg, img, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := *want
-	for i := 0; i < 3; i++ {
-		for _, src := range []ReplaySource{stream.All(), tr} {
-			if err := p.Reset(cfg, img, src); err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.Run()
-			if err != nil {
-				t.Fatalf("round %d: %v", i, err)
-			}
-			if *got != ref {
-				t.Fatalf("round %d: stats diverged after source swap\nwant: %+v\ngot:  %+v", i, ref, *got)
-			}
-		}
 	}
 }

@@ -8,19 +8,19 @@ import (
 	"sfcmdt/internal/arch"
 	"sfcmdt/internal/isa"
 	"sfcmdt/internal/prog"
-	"sfcmdt/internal/replay"
 	"sfcmdt/internal/seqnum"
 	"sfcmdt/internal/workload"
 )
 
 // TestRetireCheckMatchesRecord pins the column-reading retirement check to
-// the record-building one. For every record of each program's stream it
-// builds the entry a correct retirement would carry and has validateRetire
-// judge it on a pipeline bound to a replay view (columns) and on one bound
-// to the golden trace (records): both accept, and the view-bound one accepts
-// without building a record. Then each compared field is perturbed in turn:
-// where the field is compared for that instruction both pipelines reject the
-// entry with identical error text, and where it is not both still accept.
+// one built from the golden model's records. For every record
+// arch.Machine.Step returns over each program's budget it builds the entry a
+// correct retirement would carry; validateRetire, on a pipeline bound to the
+// program's stream, and recordCheck, over the Step record, both accept it,
+// and the column check accepts it without building a record. Then each
+// compared field is perturbed in turn: where the field is compared for that
+// instruction both reject the entry with identical error text, and where it
+// is not both still accept.
 func TestRetireCheckMatchesRecord(t *testing.T) {
 	var imgs []*prog.Image
 	for _, name := range []string{"gzip", "mcf", "bzip2"} {
@@ -57,46 +57,39 @@ func TestRetireCheckMatchesRecord(t *testing.T) {
 	for _, img := range imgs {
 		cfg := schedEquivConfigs()[0]
 		cfg.MaxInsts = budget
-		tr, err := arch.RunTrace(img, budget)
-		if err != nil {
-			t.Fatalf("%s: trace: %v", img.Name, err)
-		}
-		stream, err := replay.Materialize(img, budget)
-		if err != nil {
-			t.Fatalf("%s: stream: %v", img.Name, err)
-		}
-		byView, err := NewWithTrace(cfg, img, stream.All())
+		p, err := NewWithTrace(cfg, img, streamView(t, img, budget))
 		if err != nil {
 			t.Fatal(err)
 		}
-		byTrace, err := NewWithTrace(cfg, img, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if byView.stream == nil || byTrace.stream != nil {
-			t.Fatalf("%s: view-bound pipeline must read columns, trace-bound one records", img.Name)
-		}
-		for i := range tr.Recs {
-			rec := &tr.Recs[i]
-			e := retiringEntry(i, rec, &tr.Dec[(rec.PC-img.CodeBase)>>2])
+		m := arch.New(img)
+		for i := 0; m.Count < budget && !m.Halted; i++ {
+			r, err := m.Step()
+			if err != nil {
+				t.Fatalf("%s: Step %d: %v", img.Name, i, err)
+			}
+			if i >= p.srcLen {
+				t.Fatalf("%s: stream ends after %d records, Step runs on", img.Name, p.srcLen)
+			}
+			rec := &r
+			e := retiringEntry(i, rec, &p.dec[(rec.PC-img.CodeBase)>>2])
 			countKind(seen, rec)
-			byView.retired, byTrace.retired = i, i
-			if !byView.retireMatchesStream(&e) {
+			p.retired = i
+			if !p.retireMatchesStream(&e) {
 				t.Fatalf("%s #%d %s: column check rejects a correct retirement", img.Name, i, rec.Inst)
 			}
-			if err := byView.validateRetire(&e); err != nil {
-				t.Fatalf("%s: view-bound: %v", img.Name, err)
+			if err := p.validateRetire(&e); err != nil {
+				t.Fatalf("%s: validateRetire: %v", img.Name, err)
 			}
-			if err := byTrace.validateRetire(&e); err != nil {
-				t.Fatalf("%s: trace-bound: %v", img.Name, err)
+			if err := recordCheck(i, rec, &e); err != nil {
+				t.Fatalf("%s: recordCheck: %v", img.Name, err)
 			}
 			for _, pt := range perturbations {
 				bad := e
 				pt.apply(&bad)
-				viewErr, traceErr := byView.validateRetire(&bad), byTrace.validateRetire(&bad)
-				if errText(viewErr) != errText(traceErr) {
-					t.Fatalf("%s #%d %s, %s perturbed: view-bound %q, trace-bound %q",
-						img.Name, i, rec.Inst, pt.field, errText(viewErr), errText(traceErr))
+				viewErr, recErr := p.validateRetire(&bad), recordCheck(i, rec, &bad)
+				if errText(viewErr) != errText(recErr) {
+					t.Fatalf("%s #%d %s, %s perturbed: validateRetire %q, recordCheck %q",
+						img.Name, i, rec.Inst, pt.field, errText(viewErr), errText(recErr))
 				}
 				if compared := pt.compared(&e); compared != (viewErr != nil) {
 					t.Fatalf("%s #%d %s, %s perturbed: compared=%v but error %v",
@@ -110,6 +103,32 @@ func TestRetireCheckMatchesRecord(t *testing.T) {
 			t.Errorf("no %s among the checked records (%v)", kind, seen)
 		}
 	}
+}
+
+// recordCheck is the retirement check built from golden record rec of
+// instruction i: it compares each field validateRetire compares, in the same
+// order, and words its error the same way.
+func recordCheck(i int, rec *arch.Record, e *entry) error {
+	if rec.PC != e.pc {
+		return fmt.Errorf("retire #%d: pc %#x, trace has %#x", i, e.pc, rec.PC)
+	}
+	if rec.HasDest != e.hasDest || (e.hasDest && (rec.Dest != e.destArch || rec.DestVal != e.result)) {
+		return fmt.Errorf("retire #%d pc=%#x %s: dest %v=%#x, trace has %v=%#x",
+			i, e.pc, e.inst, e.destArch, e.result, rec.Dest, rec.DestVal)
+	}
+	if e.isLoad && (rec.Addr != e.memAddr || rec.LoadVal != e.result) {
+		return fmt.Errorf("retire #%d pc=%#x %s: load [%#x]=%#x, trace has [%#x]=%#x",
+			i, e.pc, e.inst, e.memAddr, e.result, rec.Addr, rec.LoadVal)
+	}
+	if e.isStore && (rec.Addr != e.memAddr || rec.StoreVal != e.memVal) {
+		return fmt.Errorf("retire #%d pc=%#x %s: store [%#x]=%#x, trace has [%#x]=%#x",
+			i, e.pc, e.inst, e.memAddr, e.memVal, rec.Addr, rec.StoreVal)
+	}
+	if (e.isCond || e.isJump) && rec.NextPC != e.actualNext {
+		return fmt.Errorf("retire #%d pc=%#x %s: next PC %#x, trace has %#x",
+			i, e.pc, e.inst, e.actualNext, rec.NextPC)
+	}
+	return nil
 }
 
 // retiringEntry builds the ROB entry a correct retirement of record i

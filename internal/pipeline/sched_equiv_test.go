@@ -142,7 +142,8 @@ func TestSchedulerEquivalenceResetReuse(t *testing.T) {
 	scanCfg := cfg
 	scanCfg.linearScan = true
 
-	p, err := New(scanCfg, img)
+	v := streamView(t, img, cfg.MaxInsts)
+	p, err := NewWithTrace(scanCfg, img, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +154,7 @@ func TestSchedulerEquivalenceResetReuse(t *testing.T) {
 	ref := *want
 	for i := 0; i < 3; i++ {
 		for _, c := range []Config{cfg, scanCfg} {
-			fresh, err := New(c, img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Reset(c, fresh.img, fresh.src); err != nil {
+			if err := p.Reset(c, img, v); err != nil {
 				t.Fatal(err)
 			}
 			got, err := p.Run()

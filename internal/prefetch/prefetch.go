@@ -4,8 +4,8 @@
 // Baer reference-prediction-table style: each load PC hashes to an RPT entry
 // holding its last address, last observed stride, and a 2-bit confidence
 // counter. The pipeline trains it on L1D demand misses at execute; once an
-// entry's stride is confirmed, the pipeline issues Degree prefetches placed
-// Distance strides ahead of the missing access into the L1D fill path.
+// entry's stride is confirmed, the pipeline issues degree prefetches placed
+// distance strides ahead of the missing access into the L1D fill path.
 // Prefetched lines are tagged in the cache so demand hits on them are
 // counted as prefetch hits, separating coverage from ordinary locality.
 package prefetch
@@ -30,43 +30,21 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Config sizes the stride prefetcher. The zero value disables prefetching;
-// all fields are comparable so pipeline configs remain ==-comparable.
+// Config selects the L1D prefetcher. The zero value disables prefetching;
+// it is comparable so pipeline configs remain ==-comparable.
 type Config struct {
-	Kind     Kind
-	Entries  int // RPT entries (power of two)
-	Degree   int // prefetches issued per trained miss
-	Distance int // strides ahead of the missing access
+	Kind Kind
 }
 
-// StrideConfig returns the default stride-prefetcher configuration.
-func StrideConfig() Config {
-	return Config{Kind: KindStride, Entries: 256, Degree: 2, Distance: 4}
-}
+// StrideConfig returns the stride-prefetcher configuration.
+func StrideConfig() Config { return Config{Kind: KindStride} }
 
-// WithDefaults fills unset sizing fields for an enabled prefetcher and
-// rounds Entries to a power of two; KindNone passes through untouched.
-func (c Config) WithDefaults() Config {
-	if c.Kind == KindNone {
-		return c
-	}
-	d := StrideConfig()
-	if c.Entries <= 0 {
-		c.Entries = d.Entries
-	}
-	if c.Degree <= 0 {
-		c.Degree = d.Degree
-	}
-	if c.Distance <= 0 {
-		c.Distance = d.Distance
-	}
-	p := 1
-	for p < c.Entries {
-		p *= 2
-	}
-	c.Entries = p
-	return c
-}
+// The stride prefetcher's geometry, which no configuration varies.
+const (
+	entries  = 256 // RPT entries (a power of two)
+	degree   = 2   // prefetches issued per trained miss
+	distance = 4   // strides ahead of the missing access
+)
 
 type rptEntry struct {
 	tag      uint32
@@ -79,22 +57,13 @@ const confThreshold = 2
 
 // Stride is the PC-indexed reference prediction table.
 type Stride struct {
-	cfg  Config
-	rpt  []rptEntry
-	mask uint32
-	out  []uint64 // reused candidate buffer returned by Observe
+	rpt [entries]rptEntry
+	out []uint64 // reused candidate buffer returned by Observe
 }
 
 // NewStride builds the stride prefetcher.
-func NewStride(cfg Config) *Stride {
-	cfg = cfg.WithDefaults()
-	s := &Stride{
-		cfg:  cfg,
-		rpt:  make([]rptEntry, cfg.Entries),
-		mask: uint32(cfg.Entries - 1),
-		out:  make([]uint64, 0, cfg.Degree),
-	}
-	return s
+func NewStride() *Stride {
+	return &Stride{out: make([]uint64, 0, degree)}
 }
 
 // Observe trains the table on a demand miss by the load at pc to addr and
@@ -102,7 +71,7 @@ func NewStride(cfg Config) *Stride {
 // entry's stride is confirmed). The returned slice is reused by the next
 // Observe call.
 func (s *Stride) Observe(pc, addr uint64) []uint64 {
-	idx := uint32(pc>>2) & s.mask
+	idx := uint32(pc>>2) & (entries - 1)
 	tag := uint32(pc >> 2)
 	e := &s.rpt[idx]
 	s.out = s.out[:0]
@@ -126,15 +95,12 @@ func (s *Stride) Observe(pc, addr uint64) []uint64 {
 	}
 	e.lastAddr = addr
 	if e.conf >= confThreshold && e.stride != 0 {
-		for k := 0; k < s.cfg.Degree; k++ {
-			s.out = append(s.out, addr+uint64(e.stride*int64(s.cfg.Distance+k)))
+		for k := 0; k < degree; k++ {
+			s.out = append(s.out, addr+uint64(e.stride*int64(distance+k)))
 		}
 	}
 	return s.out
 }
-
-// Config returns the canonicalized configuration.
-func (s *Stride) Config() Config { return s.cfg }
 
 // Reset restores the freshly-built state, reusing the table.
 func (s *Stride) Reset() {

@@ -111,7 +111,7 @@ func TestCacheStoreBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < v.Len(); i++ {
-		if v.RecordAt(i) != fresh.RecordAt(i) {
+		if v.Stream().RecordAt(i) != fresh.RecordAt(i) {
 			t.Fatalf("record %d differs after store round trip", i)
 		}
 	}

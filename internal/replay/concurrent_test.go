@@ -44,12 +44,12 @@ func TestCachePrefixViewsConcurrent(t *testing.T) {
 				// Read through the view the way a pipeline does: the
 				// backing columns are shared with every sibling view.
 				for j := 0; j < v.Len(); j += 977 {
-					if pc, want := v.PCAt(j), long.PCAt(j); pc != want {
+					if pc, want := v.Stream().PCAt(j), long.Stream().PCAt(j); pc != want {
 						t.Errorf("PCAt(%d) = %#x via span %d, want %#x", j, pc, span, want)
 						return
 					}
-					_ = v.RecordAt(j)
-					_ = v.TakenAt(j)
+					_ = v.Stream().RecordAt(j)
+					_ = v.Stream().TakenAt(j)
 				}
 			}
 		}(g)

@@ -5,11 +5,12 @@
 // value column (load results, store data, or destination values), effective
 // addresses (doubling as indirect-jump targets), branch outcomes as a bitset,
 // and per-interval snapshot anchors. The detailed pipeline then *replays*
-// the stream instead of running the golden model in lockstep: every answer
-// the pipeline asks of the stream (fetch-time branch outcomes and next-PCs,
-// retire-time validation records) is reconstructed bit-identically to the
-// arch.Trace it was derived from, so timing results are unchanged while the
-// functional pass is paid once per workload instead of once per grid point.
+// the stream instead of running the golden model in lockstep: fetch reads
+// its branch outcomes and next PCs from the columns, and retirement checks
+// each instruction against them, so the functional pass is paid once per
+// workload instead of once per grid point. Stream.RecordAt rebuilds any
+// instruction's retirement record exactly as arch.Machine.Step returns it;
+// the package tests hold every index to Step.
 //
 // The columnar form is ~20 bytes per instruction against arch.Record's ~96,
 // and it serializes (see codec.go) into the content-addressed blob stores
@@ -89,55 +90,10 @@ func (s *Stream) Bind(img *prog.Image, dec []isa.DecodedInst) error {
 	return nil
 }
 
-// push appends one instruction's Exec outputs to the columns.
-func (s *Stream) push(pc, val, addr uint64, taken bool) error {
-	if pc < s.CodeBase || (pc-s.CodeBase)%4 != 0 {
-		return fmt.Errorf("replay: record PC %#x not in code segment at %#x", pc, s.CodeBase)
-	}
-	idx := (pc - s.CodeBase) >> 2
-	if idx > 1<<32-1 {
-		return fmt.Errorf("replay: code index %d overflows the stream's 32-bit column", idx)
-	}
-	s.Append(uint32(idx), val, addr, taken)
-	return nil
-}
-
-// FromTrace converts a golden trace into a stream, sharing the trace's
-// predecode table. The conversion is lossless for every field the pipeline
-// consumes; ExpandTrace is its inverse and the package tests pin the
-// round trip record-for-record.
-func FromTrace(img *prog.Image, t *arch.Trace) (*Stream, error) {
-	s := newStream(img, t.Len())
-	for i := range t.Recs {
-		val, addr, taken := t.Recs[i].Outputs()
-		if err := s.push(t.Recs[i].PC, val, addr, taken); err != nil {
-			return nil, err
-		}
-	}
-	s.Halted = t.Halted
-	if err := s.Bind(img, t.Dec); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func newStream(img *prog.Image, capHint int) *Stream {
-	return &Stream{
-		Workload: img.Name,
-		CodeBase: img.CodeBase,
-		Columns: arch.Columns{
-			CodeIdx: make([]uint32, 0, capHint),
-			Val:     make([]uint64, 0, capHint),
-			Addr:    make([]uint64, 0, capHint),
-			Taken:   make([]uint64, 0, (capHint+63)/64),
-		},
-	}
-}
-
 // Materialize runs the functional model for at most span instructions and
-// returns the stream directly, arch.Machine.Run appending its outputs to the
-// columns without building a trace or a per-instruction record — this is
-// the one functional pass a sweep pays per workload.
+// returns the stream, arch.Machine.Run appending its outputs to the columns
+// without building a per-instruction record — this is the one functional
+// pass a sweep pays per workload.
 func Materialize(img *prog.Image, span uint64) (*Stream, error) {
 	m := arch.New(img)
 	s, err := materializeFrom(m, span, img)
@@ -151,15 +107,24 @@ func Materialize(img *prog.Image, span uint64) (*Stream, error) {
 }
 
 // MaterializeFrom continues a warm machine (restored from a checkpoint or
-// advanced by fast-forward) for up to n further instructions, the streaming
-// counterpart of arch.RunTraceFrom. An empty stream is legitimate here: a
-// halted machine yields zero records.
+// advanced by fast-forward) for up to n further instructions. An empty
+// stream is legitimate here: a halted machine yields zero records.
 func MaterializeFrom(m *arch.Machine, n uint64) (*Stream, error) {
 	return materializeFrom(m, n, m.Img)
 }
 
 func materializeFrom(m *arch.Machine, n uint64, img *prog.Image) (*Stream, error) {
-	s := newStream(img, int(min(n, 1<<20)))
+	c := int(min(n, 1<<20))
+	s := &Stream{
+		Workload: img.Name,
+		CodeBase: img.CodeBase,
+		Columns: arch.Columns{
+			CodeIdx: make([]uint32, 0, c),
+			Val:     make([]uint64, 0, c),
+			Addr:    make([]uint64, 0, c),
+			Taken:   make([]uint64, 0, (c+63)/64),
+		},
+	}
 	if err := m.Run(n, &s.Columns); err != nil {
 		return nil, fmt.Errorf("replay: %s: after %d insts: %w", img.Name, m.Count, err)
 	}
@@ -181,8 +146,7 @@ func (s *Stream) NextPCAt(i int) uint64 {
 
 // RecordAt reconstructs record i as the golden model produced it, with
 // arch.RecordOf over the columns — the reconstruction arch.Machine.Step
-// itself returns, so replay-mode retirement validation is precisely as
-// strong as lockstep validation against the original trace.
+// itself returns. The pipeline words a failed retirement check from it.
 func (s *Stream) RecordAt(i int) arch.Record {
 	return arch.RecordOf(&s.dec[s.CodeIdx[i]], s.PCAt(i), s.Val[i], s.Addr[i], s.TakenAt(i))
 }
@@ -190,26 +154,11 @@ func (s *Stream) RecordAt(i int) arch.Record {
 // Decoded returns the bound predecode table (nil before Bind).
 func (s *Stream) Decoded() []isa.DecodedInst { return s.dec }
 
-// ExpandTrace reconstructs the full AoS golden trace from the stream — the
-// inverse of FromTrace, used by the equivalence tests and by tools that want
-// record-level output from a stored stream.
-func (s *Stream) ExpandTrace() *arch.Trace {
-	t := &arch.Trace{
-		Recs:   make([]arch.Record, s.Len()),
-		Halted: s.Halted,
-		Dec:    s.dec,
-	}
-	for i := range t.Recs {
-		t.Recs[i] = s.RecordAt(i)
-	}
-	return t
-}
-
-// View returns a prefix view of at most span records — the ReplaySource a
+// View returns a prefix view of at most span records — the reference a
 // pipeline bounded by a span-instruction budget consumes. One stream
 // materialized at the largest budget serves every smaller budget: a
 // deterministic program's first n records do not depend on how far the
-// trace ran past them.
+// stream ran past them.
 func (s *Stream) View(span uint64) *View {
 	n := s.Len()
 	if span < uint64(n) {
@@ -221,9 +170,9 @@ func (s *Stream) View(span uint64) *View {
 // All returns the whole-stream view.
 func (s *Stream) All() *View { return &View{s: s, n: s.Len()} }
 
-// View is a bounded prefix of a Stream; it implements pipeline.ReplaySource.
-// Views are cheap values — every config of a sweep gets its own over the one
-// shared stream.
+// View is a bounded prefix of a Stream, the only reference stream a
+// pipeline binds. Views are cheap values — every config of a sweep gets its
+// own over the one shared stream.
 type View struct {
 	s *Stream
 	n int
@@ -234,18 +183,3 @@ func (v *View) Stream() *Stream { return v.s }
 
 // Len returns the number of records in the view.
 func (v *View) Len() int { return v.n }
-
-// PCAt returns record i's program counter.
-func (v *View) PCAt(i int) uint64 { return v.s.PCAt(i) }
-
-// TakenAt returns record i's branch outcome.
-func (v *View) TakenAt(i int) bool { return v.s.TakenAt(i) }
-
-// NextPCAt returns record i's architectural next PC.
-func (v *View) NextPCAt(i int) uint64 { return v.s.NextPCAt(i) }
-
-// RecordAt reconstructs record i's full retirement record.
-func (v *View) RecordAt(i int) arch.Record { return v.s.RecordAt(i) }
-
-// Decoded returns the shared predecode table.
-func (v *View) Decoded() []isa.DecodedInst { return v.s.Decoded() }

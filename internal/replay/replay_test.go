@@ -47,58 +47,51 @@ fn:     add  r2, r2, r1
 	return append(imgs, img)
 }
 
-// TestFromTraceRoundTrip pins the lossless property the whole substrate
-// rests on: columns → ExpandTrace reproduces the golden trace record for
-// record, and the point accessors agree with the records.
-func TestFromTraceRoundTrip(t *testing.T) {
-	for _, img := range testImages(t) {
-		tr, err := arch.RunTrace(img, 20_000)
+// stepRecords steps m up to n further instructions with arch.Machine.Step,
+// the golden model, stopping at HALT, and returns their records.
+func stepRecords(t *testing.T, m *arch.Machine, n uint64) []arch.Record {
+	t.Helper()
+	var recs []arch.Record
+	for end := m.Count + n; m.Count < end && !m.Halted; {
+		r, err := m.Step()
 		if err != nil {
-			t.Fatalf("%s: %v", img.Name, err)
+			t.Fatalf("%s: Step after %d insts: %v", m.Img.Name, m.Count, err)
 		}
-		s, err := FromTrace(img, tr)
-		if err != nil {
-			t.Fatalf("%s: FromTrace: %v", img.Name, err)
-		}
-		if s.Len() != tr.Len() || s.Halted != tr.Halted {
-			t.Fatalf("%s: stream len=%d halted=%v, trace len=%d halted=%v",
-				img.Name, s.Len(), s.Halted, tr.Len(), tr.Halted)
-		}
-		back := s.ExpandTrace()
-		for i := range tr.Recs {
-			if back.Recs[i] != tr.Recs[i] {
-				t.Fatalf("%s: record %d:\n stream: %+v\n trace:  %+v", img.Name, i, back.Recs[i], tr.Recs[i])
-			}
-			if got, want := s.PCAt(i), tr.Recs[i].PC; got != want {
-				t.Fatalf("%s: PCAt(%d)=%#x want %#x", img.Name, i, got, want)
-			}
-			if got, want := s.TakenAt(i), tr.Recs[i].Taken; got != want {
-				t.Fatalf("%s: TakenAt(%d)=%v want %v", img.Name, i, got, want)
-			}
-			if got, want := s.NextPCAt(i), tr.Recs[i].NextPC; got != want {
-				t.Fatalf("%s: NextPCAt(%d)=%#x want %#x", img.Name, i, got, want)
-			}
-		}
+		recs = append(recs, r)
 	}
+	return recs
 }
 
-// TestMaterializeMatchesFromTrace pins the direct (trace-free) materializing
-// pass to the conversion path: identical columns either way.
+// TestMaterializeMatchesFromTrace pins the lossless property the whole
+// substrate rests on: the columns Materialize fills rebuild, at every index,
+// the record of the golden model's architectural trace — what Step returns
+// — and the point accessors fetch reads agree with those records.
 func TestMaterializeMatchesFromTrace(t *testing.T) {
 	for _, img := range testImages(t) {
-		tr, err := arch.RunTrace(img, 10_000)
-		if err != nil {
-			t.Fatalf("%s: %v", img.Name, err)
-		}
-		want, err := FromTrace(img, tr)
-		if err != nil {
-			t.Fatalf("%s: %v", img.Name, err)
-		}
-		got, err := Materialize(img, 10_000)
+		s, err := Materialize(img, 20_000)
 		if err != nil {
 			t.Fatalf("%s: Materialize: %v", img.Name, err)
 		}
-		assertStreamsEqual(t, img.Name, got, want)
+		m := arch.New(img)
+		recs := stepRecords(t, m, 20_000)
+		if s.Len() != len(recs) || s.Halted != m.Halted {
+			t.Fatalf("%s: stream len=%d halted=%v, Step ran %d halted=%v",
+				img.Name, s.Len(), s.Halted, len(recs), m.Halted)
+		}
+		for i := range recs {
+			if got := s.RecordAt(i); got != recs[i] {
+				t.Fatalf("%s: record %d:\n stream: %+v\n Step:   %+v", img.Name, i, got, recs[i])
+			}
+			if got, want := s.PCAt(i), recs[i].PC; got != want {
+				t.Fatalf("%s: PCAt(%d)=%#x want %#x", img.Name, i, got, want)
+			}
+			if got, want := s.TakenAt(i), recs[i].Taken; got != want {
+				t.Fatalf("%s: TakenAt(%d)=%v want %v", img.Name, i, got, want)
+			}
+			if got, want := s.NextPCAt(i), recs[i].NextPC; got != want {
+				t.Fatalf("%s: NextPCAt(%d)=%#x want %#x", img.Name, i, got, want)
+			}
+		}
 	}
 }
 
@@ -135,7 +128,7 @@ func TestViewPrefix(t *testing.T) {
 		t.Fatalf("prefix view len %d, short stream len %d", v.Len(), short.Len())
 	}
 	for i := 0; i < v.Len(); i++ {
-		if v.RecordAt(i) != short.RecordAt(i) {
+		if v.Stream().RecordAt(i) != short.RecordAt(i) {
 			t.Fatalf("record %d differs between prefix view and short stream", i)
 		}
 	}
@@ -149,19 +142,16 @@ func TestViewPrefix(t *testing.T) {
 
 // TestMaterializeFromContinues pins the warm-start path used by sampled
 // preparation: materializing an interval from an advanced machine equals the
-// corresponding slice of a cold trace.
+// records Step returns over the same span of a cold run.
 func TestMaterializeFromContinues(t *testing.T) {
 	w, _ := workload.Get("mcf")
 	img := w.Build()
-	full, err := arch.RunTrace(img, 6_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := arch.New(img)
+	stepRecords(t, ref, 2_000)
+	want := stepRecords(t, ref, 1_000)
 	m := arch.New(img)
-	for m.Count < 2_000 && !m.Halted {
-		if _, err := m.Step(); err != nil {
-			t.Fatal(err)
-		}
+	if err := m.Run(2_000, nil); err != nil {
+		t.Fatal(err)
 	}
 	s, err := MaterializeFrom(m, 1_000)
 	if err != nil {
@@ -171,8 +161,8 @@ func TestMaterializeFromContinues(t *testing.T) {
 		t.Fatalf("interval stream has %d records, want 1000", s.Len())
 	}
 	for i := 0; i < s.Len(); i++ {
-		if got, want := s.RecordAt(i), full.Recs[2_000+i]; got != want {
-			t.Fatalf("interval record %d:\n got:  %+v\n want: %+v", i, got, want)
+		if got := s.RecordAt(i); got != want[i] {
+			t.Fatalf("interval record %d:\n got:  %+v\n want: %+v", i, got, want[i])
 		}
 	}
 }

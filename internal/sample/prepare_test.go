@@ -10,7 +10,6 @@ import (
 
 	"sfcmdt/internal/par"
 	"sfcmdt/internal/prog"
-	"sfcmdt/internal/replay"
 	"sfcmdt/internal/sample"
 	"sfcmdt/internal/snapshot"
 )
@@ -215,7 +214,7 @@ func TestPrepareInlineWritesMatch(t *testing.T) {
 		if pn, ok := samePages(g.Start.Mem, w.Start.Mem); !ok {
 			t.Fatalf("interval %d: start memory page %#x differs", i, pn)
 		}
-		ws, gs := w.Src.(*replay.View).Stream(), g.Src.(*replay.View).Stream()
+		ws, gs := w.Src.Stream(), g.Src.Stream()
 		if !reflect.DeepEqual(gs.Columns, ws.Columns) || !reflect.DeepEqual(gs.Anchors, ws.Anchors) || gs.Halted != ws.Halted {
 			t.Fatalf("interval %d: stream differs", i)
 		}

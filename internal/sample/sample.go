@@ -15,7 +15,7 @@
 // are checkpointed and later sweeps (or other processes) skip the functional
 // pass entirely.
 //
-// Each prepared interval is an independent (StartState, ReplaySource) pair,
+// Each prepared interval is an independent (StartState, replay view) pair,
 // so the detailed-measurement phase is embarrassingly parallel: RunParallel
 // fans the K intervals across a bounded worker set drawn from the
 // process-wide par.CPU semaphore and merges results in interval order,
@@ -89,7 +89,7 @@ func (p Plan) String() string {
 type Interval struct {
 	Offset uint64 // instructions retired before the detailed portion starts
 	Start  *pipeline.StartState
-	Src    pipeline.ReplaySource
+	Src    *replay.View
 }
 
 // Intervals is a prepared plan for one workload.
@@ -129,15 +129,8 @@ type Intervals struct {
 // capture. A segment whose write failed stops at its next checkpoint.
 //
 // Each interval's detailed portion is materialized directly as a compact
-// columnar replay stream (~4-5× smaller than the equivalent AoS trace).
+// columnar replay stream (~20 bytes per instruction).
 func Prepare(img *prog.Image, plan Plan, store snapshot.Store, args string) (*Intervals, error) {
-	return prepare(img, plan, store, args, false)
-}
-
-// prepare is Prepare, keeping each interval's golden AoS trace as its source
-// when trace is set: the reference the sampled equivalence tests pin the
-// replay streams to.
-func prepare(img *prog.Image, plan Plan, store snapshot.Store, args string, trace bool) (*Intervals, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -176,7 +169,7 @@ func prepare(img *prog.Image, plan Plan, store snapshot.Store, args string, trac
 	}
 	outs := make([]segResult, len(segs))
 	forEachIndex(len(segs), func(i int) {
-		outs[i] = prepareSegment(img, plan, store, args, trace, segs[i], states, getErrs)
+		outs[i] = prepareSegment(img, plan, store, args, segs[i], states, getErrs)
 	})
 
 	// Join in plan order, reproducing the serial loop's early exit: a halt
@@ -211,7 +204,7 @@ type segResult struct {
 	err      error
 }
 
-func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args string, trace bool, seg [2]int, states []*snapshot.State, getErrs []error) (out segResult) {
+func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args string, seg [2]int, states []*snapshot.State, getErrs []error) (out segResult) {
 	var m *arch.Machine
 	// held is a checkpoint of m's current state that preparation already
 	// holds: its memory, read-only after capture or decode, becomes the
@@ -269,28 +262,17 @@ func prepareSegment(img *prog.Image, plan Plan, store snapshot.Store, args strin
 		} else {
 			st.Mem = m.Mem.Clone()
 		}
-		var src pipeline.ReplaySource
-		if trace {
-			tr, err := arch.RunTraceFrom(m, plan.Warm+plan.Measure)
-			if err != nil {
-				out.err = err
-				return
-			}
-			src = tr
-		} else {
-			s, err := replay.MaterializeFrom(m, plan.Warm+plan.Measure)
-			if err != nil {
-				out.err = err
-				return
-			}
-			s.Anchors = []uint64{start}
-			src = s.All()
+		s, err := replay.MaterializeFrom(m, plan.Warm+plan.Measure)
+		if err != nil {
+			out.err = err
+			return
 		}
-		if src.Len() == 0 {
+		if s.Len() == 0 {
 			out.halted = true
 			return
 		}
-		out.ivs = append(out.ivs, Interval{Offset: start, Start: st, Src: src})
+		s.Anchors = []uint64{start}
+		out.ivs = append(out.ivs, Interval{Offset: start, Start: st, Src: s.All()})
 		if m.Halted {
 			out.halted = true
 			return

@@ -11,6 +11,7 @@ import (
 	"sfcmdt/internal/arch"
 	"sfcmdt/internal/harness"
 	"sfcmdt/internal/pipeline"
+	"sfcmdt/internal/replay"
 	"sfcmdt/internal/sample"
 	"sfcmdt/internal/snapshot"
 	"sfcmdt/internal/workload"
@@ -166,11 +167,11 @@ func TestRestoreThenDetailedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &pipeline.StartState{Regs: m.Regs, PC: m.PC, Mem: m.Mem.Clone()}
-	tr, err := arch.RunTraceFrom(m, detailed)
+	s1, err := replay.MaterializeFrom(m, detailed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := pipeline.NewFrom(cfg, m.Img, tr, st)
+	p1, err := pipeline.NewFrom(cfg, m.Img, s1.All(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +203,11 @@ func TestRestoreThenDetailedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := &pipeline.StartState{Regs: rm.Regs, PC: rm.PC, Mem: rm.Mem.Clone()}
-	tr2, err := arch.RunTraceFrom(rm, detailed)
+	s2, err := replay.MaterializeFrom(rm, detailed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := pipeline.NewFrom(cfg, m2.Img, tr2, st2)
+	p2, err := pipeline.NewFrom(cfg, m2.Img, s2.All(), st2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestPrepareUsesStore(t *testing.T) {
 			t.Fatalf("interval %d differs between live and restored preparation", i)
 		}
 		for j := 0; j < a.Len(); j++ {
-			if a.RecordAt(j) != b.RecordAt(j) {
+			if a.Stream().RecordAt(j) != b.Stream().RecordAt(j) {
 				t.Fatalf("interval %d record %d differs between live and restored preparation", i, j)
 			}
 		}
@@ -299,38 +300,52 @@ func TestFastForwardSpeedup(t *testing.T) {
 	}
 }
 
-// TestSampledLockstepReplayIdentical pins sampled-mode replay to the golden
-// model: the same plan prepared as columnar streams (Prepare) and as golden
-// AoS traces (PrepareTrace), measured under the same configurations, must
-// aggregate to identical statistics interval for interval.
+// TestSampledLockstepReplayIdentical pins sampled preparation to the golden
+// model: for every interval Prepare returns, a fresh machine stepped with
+// arch.Machine.Step to the interval's offset holds the interval's start
+// registers, PC and memory, and Step's records over the next Warm+Measure
+// instructions are the interval's stream, record for record, with its
+// length and halt flag.
 func TestSampledLockstepReplayIdentical(t *testing.T) {
 	plan := sample.Plan{FastForward: 4_000, Warm: 500, Measure: 1_000, Intervals: 3}
-	cfgs := []pipeline.Config{
-		harness.BaselineConfig(harness.MDTSFCEnf, 0),
-		harness.BaselineConfig(harness.LSQ48x32, 0),
-	}
 	for _, name := range []string{"gzip", "mcf"} {
 		img := image(t, name).Img
-		rep, err := sample.Prepare(img, plan, nil, "")
+		ivs, err := sample.Prepare(img, plan, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := sample.PrepareTrace(img, plan, nil, "")
-		if err != nil {
-			t.Fatal(err)
+		if len(ivs.Ivs) != plan.Intervals {
+			t.Fatalf("%s: prepared %d intervals, want %d", name, len(ivs.Ivs), plan.Intervals)
 		}
-		for _, cfg := range cfgs {
-			got, err := rep.Run(context.Background(), cfg)
-			if err != nil {
-				t.Fatal(err)
+		for k, iv := range ivs.Ivs {
+			m := arch.New(img)
+			for m.Count < iv.Offset {
+				if _, err := m.Step(); err != nil {
+					t.Fatalf("%s interval %d: Step: %v", name, k, err)
+				}
 			}
-			want, err := ref.Run(context.Background(), cfg)
-			if err != nil {
-				t.Fatal(err)
+			if iv.Start.Regs != m.Regs || iv.Start.PC != m.PC {
+				t.Fatalf("%s interval %d: start regs or PC differ from Step's at offset %d", name, k, iv.Offset)
 			}
-			if *got.Measured != *want.Measured || !reflect.DeepEqual(got.IntervalIPC, want.IntervalIPC) {
-				t.Errorf("%s under %s: sampled replay diverged from the trace\nreplay: %+v\ntrace:  %+v",
-					name, cfg.Name, *got.Measured, *want.Measured)
+			if pn, ok := samePages(iv.Start.Mem, m.Mem); !ok {
+				t.Fatalf("%s interval %d: start memory page %#x differs from Step's", name, k, pn)
+			}
+			s := iv.Src.Stream()
+			for j := 0; m.Count < iv.Offset+plan.Warm+plan.Measure && !m.Halted; j++ {
+				want, err := m.Step()
+				if err != nil {
+					t.Fatalf("%s interval %d: Step: %v", name, k, err)
+				}
+				if j >= iv.Src.Len() {
+					t.Fatalf("%s interval %d: stream ends after %d records, Step runs on", name, k, iv.Src.Len())
+				}
+				if got := s.RecordAt(j); got != want {
+					t.Fatalf("%s interval %d record %d:\n stream: %+v\n Step:   %+v", name, k, j, got, want)
+				}
+			}
+			if uint64(iv.Src.Len()) != m.Count-iv.Offset || s.Halted != m.Halted {
+				t.Fatalf("%s interval %d: stream len=%d halted=%v, Step ran %d halted=%v",
+					name, k, iv.Src.Len(), s.Halted, m.Count-iv.Offset, m.Halted)
 			}
 		}
 	}

@@ -176,7 +176,7 @@ type Service struct {
 	wg sync.WaitGroup // tracks runCall goroutines for drain
 
 	// runners caches one harness.Runner per instruction budget: a
-	// runner's golden-trace cache is keyed by workload name alone, so
+	// runner's stream cache is keyed by workload name alone, so
 	// budgets must not share one. Each runner pools pipelines across its
 	// runs. samplers is the sampled-mode analogue, one runner per sampling
 	// plan: its per-workload interval cache lets every configuration of a

@@ -3,9 +3,9 @@ package workload_test
 import (
 	"testing"
 
-	"sfcmdt/internal/arch"
 	"sfcmdt/internal/harness"
 	"sfcmdt/internal/pipeline"
+	"sfcmdt/internal/replay"
 	"sfcmdt/internal/workload"
 )
 
@@ -50,16 +50,16 @@ func TestFunctional(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			img := w.Build()
-			tr, err := arch.RunTrace(img, 50_000)
+			s, err := replay.Materialize(img, 50_000)
 			if err != nil {
 				t.Fatalf("functional run: %v", err)
 			}
-			if tr.Halted {
-				t.Fatalf("workload halted after %d insts; must run past any budget", tr.Len())
+			if s.Halted {
+				t.Fatalf("workload halted after %d insts; must run past any budget", s.Len())
 			}
 			loads, stores, branches := 0, 0, 0
-			for i := range tr.Recs {
-				r := tr.At(i)
+			for i := 0; i < s.Len(); i++ {
+				r := s.RecordAt(i)
 				if r.IsLoad {
 					loads++
 				}
@@ -73,13 +73,13 @@ func TestFunctional(t *testing.T) {
 			if loads == 0 || branches == 0 {
 				t.Errorf("degenerate workload: %d loads, %d stores, %d branches", loads, stores, branches)
 			}
-			t.Logf("%s: %d insts, %d loads, %d stores, %d branches", w.Name, tr.Len(), loads, stores, branches)
+			t.Logf("%s: %d insts, %d loads, %d stores, %d branches", w.Name, s.Len(), loads, stores, branches)
 		})
 	}
 }
 
 // TestPipelineValidation is the central integration test: every workload
-// retires correctly (validated against the golden trace) under the paper's
+// retires correctly (validated against its reference stream) under the paper's
 // baseline and aggressive processors with both memory subsystems.
 func TestPipelineValidation(t *testing.T) {
 	budget := uint64(15_000)

@@ -15,7 +15,6 @@ package sim
 import (
 	"context"
 
-	"sfcmdt/internal/arch"
 	"sfcmdt/internal/asm"
 	"sfcmdt/internal/core"
 	"sfcmdt/internal/harness"
@@ -52,8 +51,6 @@ type (
 	Table = harness.Table
 	// Runner executes workloads across configurations in parallel.
 	Runner = harness.Runner
-	// Trace is a golden-model execution trace.
-	Trace = arch.Trace
 	// RecoveryOptions selects the paper's §2.4 recovery optimizations.
 	RecoveryOptions = pipeline.RecoveryOptions
 	// MDTConfig, SFCConfig, LSQConfig and PredictorConfig size the
@@ -124,12 +121,6 @@ func Run(cfg Config, img *Image) (*Stats, error) {
 		return nil, err
 	}
 	return p.Run()
-}
-
-// GoldenTrace executes the program on the functional (architectural) model
-// alone and returns its trace.
-func GoldenTrace(img *Image, maxInsts uint64) (*Trace, error) {
-	return arch.RunTrace(img, maxInsts)
 }
 
 // NewRunner builds an experiment runner with the given per-run instruction

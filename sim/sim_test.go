@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"sfcmdt/internal/replay"
 	"sfcmdt/sim"
 )
 
@@ -20,12 +21,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	b.Halt()
 	img := b.MustBuild()
 
-	// Golden model.
-	tr, err := sim.GoldenTrace(img, 100)
+	// Golden model: the reference stream every run binds.
+	s, err := replay.Materialize(img, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Halted {
+	if !s.Halted {
 		t.Fatal("program should halt")
 	}
 
@@ -35,8 +36,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", v.Label, err)
 		}
-		if st.Retired != uint64(tr.Len()) {
-			t.Errorf("%s retired %d, trace has %d", v.Label, st.Retired, tr.Len())
+		if st.Retired != uint64(s.Len()) {
+			t.Errorf("%s retired %d, stream has %d", v.Label, st.Retired, s.Len())
 		}
 	}
 }
