@@ -5,10 +5,12 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"sfcmdt/internal/arch"
 	"sfcmdt/internal/asm"
+	"sfcmdt/internal/isa"
 	"sfcmdt/internal/prog"
 	"sfcmdt/internal/workload"
 )
@@ -62,21 +64,46 @@ func stepRecords(t *testing.T, m *arch.Machine, n uint64) []arch.Record {
 	return recs
 }
 
-// TestMaterializeMatchesFromTrace pins the lossless property the whole
-// substrate rests on: the columns Materialize fills rebuild, at every index,
-// the record of the golden model's architectural trace — what Step returns
-// — and the point accessors fetch reads agree with those records.
-func TestMaterializeMatchesFromTrace(t *testing.T) {
-	for _, img := range testImages(t) {
-		s, err := Materialize(img, 20_000)
-		if err != nil {
-			t.Fatalf("%s: Materialize: %v", img.Name, err)
+// traceStream converts the golden model's architectural trace of img — the
+// records Step returns over at most n instructions — into a bound stream,
+// appending each record's Exec outputs (recovered by inverting
+// arch.RecordOf) to the columns. It is the slow path, one record at a time,
+// that the tests hold Materialize's batch loop to.
+func traceStream(t *testing.T, img *prog.Image, n uint64) (*Stream, []arch.Record) {
+	t.Helper()
+	m := arch.New(img)
+	recs := stepRecords(t, m, n)
+	s := &Stream{Workload: img.Name, CodeBase: img.CodeBase, Halted: m.Halted}
+	for i := range recs {
+		r := &recs[i]
+		val := r.DestVal
+		switch {
+		case r.IsLoad:
+			val = r.LoadVal
+		case r.IsStore:
+			val = r.StoreVal
 		}
-		m := arch.New(img)
-		recs := stepRecords(t, m, 20_000)
-		if s.Len() != len(recs) || s.Halted != m.Halted {
-			t.Fatalf("%s: stream len=%d halted=%v, Step ran %d halted=%v",
-				img.Name, s.Len(), s.Halted, len(recs), m.Halted)
+		addr := r.Addr
+		if r.Inst.Op == isa.OpJalr {
+			addr = r.NextPC
+		}
+		s.Append(uint32((r.PC-img.CodeBase)/4), val, addr, r.Taken)
+	}
+	if err := s.Bind(img, nil); err != nil {
+		t.Fatalf("%s: binding the trace's stream: %v", img.Name, err)
+	}
+	return s, recs
+}
+
+// TestFromTraceRoundTrip pins the lossless property the whole substrate
+// rests on: columns built from the golden model's trace rebuild it record
+// for record through RecordAt, and the point accessors fetch reads agree
+// with the records.
+func TestFromTraceRoundTrip(t *testing.T) {
+	for _, img := range testImages(t) {
+		s, recs := traceStream(t, img, 20_000)
+		if s.Len() != len(recs) {
+			t.Fatalf("%s: stream len=%d, trace len=%d", img.Name, s.Len(), len(recs))
 		}
 		for i := range recs {
 			if got := s.RecordAt(i); got != recs[i] {
@@ -92,6 +119,20 @@ func TestMaterializeMatchesFromTrace(t *testing.T) {
 				t.Fatalf("%s: NextPCAt(%d)=%#x want %#x", img.Name, i, got, want)
 			}
 		}
+	}
+}
+
+// TestMaterializeMatchesFromTrace pins the direct materializing pass, the
+// batch loop arch.Machine.Run, to the conversion of the golden model's
+// trace: identical columns and halt flag either way.
+func TestMaterializeMatchesFromTrace(t *testing.T) {
+	for _, img := range testImages(t) {
+		want, _ := traceStream(t, img, 20_000)
+		got, err := Materialize(img, 20_000)
+		if err != nil {
+			t.Fatalf("%s: Materialize: %v", img.Name, err)
+		}
+		assertStreamsEqual(t, img.Name, got, want)
 	}
 }
 
@@ -218,9 +259,13 @@ func TestStreamBytesPerInst(t *testing.T) {
 	// columns once from n, so it allocates the same few times whatever n
 	// is, and holds 4+8+8+1/8 = 20.125 bytes per instruction plus a fixed
 	// overhead (the Stream header, the predecode table, and each column's
-	// rounding up to a whole 8 KiB page). Each figure is the minimum over
-	// three calls: the runtime's own occasional allocations (GC workers,
-	// timers) only ever add to a count.
+	// rounding up to a whole 8 KiB page). The collector is off while a call
+	// is measured: a GC cycle that the 200k call's columns trigger wakes
+	// runtime work (the unique-map cleanup, mark-termination sudogs) that
+	// allocates inside the window, and whether the pacer starts that cycle
+	// depends on how busy the host is. Each figure is the minimum over three
+	// calls: the runtime's own occasional allocations (timers, cleanup left
+	// over from the runtime.GC before the window) only ever add to a count.
 	w, _ = workload.Get("mcf")
 	img = w.Build()
 	materialize := func(n uint64) (mallocs, bytes uint64) {
@@ -231,10 +276,12 @@ func TestStreamBytesPerInst(t *testing.T) {
 				t.Fatal(err)
 			}
 			runtime.GC()
+			gcPercent := debug.SetGCPercent(-1)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			s, err := MaterializeFrom(m, n)
 			runtime.ReadMemStats(&after)
+			debug.SetGCPercent(gcPercent)
 			if err != nil {
 				t.Fatal(err)
 			}
