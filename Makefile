@@ -4,9 +4,9 @@
 # smoke run (catches benchmarks that no longer compile or crash without
 # paying for a full measurement) + vet and tests of the nested bench/
 # module, which root `go test ./...` skips + short fuzz runs of the
-# word-granular memory paths, the memoizing cache, and the functional
-# interpreter one instruction at a time and as a batch loop, against their
-# references + a one-second pass of every bench/ workload that must report
+# word-granular memory paths, the memoizing cache, the event wheel, and the
+# functional interpreter one instruction at a time and as a batch loop,
+# against their references + a one-second pass of every bench/ workload that must report
 # correct output + the assembler-runner, serving, sampling and cluster smoke
 # tests.
 #
@@ -41,7 +41,9 @@ bench-smoke:
 
 # Short fuzz runs (the seeded corpora always run; the time budget explores
 # beyond them): the Sparse word paths vs the per-byte reference, the
-# memoizing cache vs its search-every-access reference, the functional
+# memoizing cache vs its search-every-access reference, the event wheel
+# (Schedule, Due, NextAt and Reset) vs a sorted multiset of pending
+# cycles, the functional
 # interpreter (Exec and the record it rebuilds; the batch loop Run in
 # fuzzed chunk sizes, with and without its column sink) vs the reference
 # interpreter it replaced, and the snapshot and replay-stream decoders
@@ -49,6 +51,7 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSparseWordVsByte -fuzztime 10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzCacheVsReference -fuzztime 10s ./internal/mem
+	$(GO) test -run '^$$' -fuzz FuzzWheelVsReference -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzExecVsReference -fuzztime 10s ./internal/arch
 	$(GO) test -run '^$$' -fuzz FuzzRunVsReference -fuzztime 10s ./internal/arch
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/snapshot

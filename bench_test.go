@@ -193,18 +193,74 @@ func BenchmarkLSQSearch(b *testing.B) {
 
 // BenchmarkEventWheel models the pipeline's real event mix — a few
 // completions scheduled per cycle at latencies spread across the wheel
-// horizon, drained every cycle.
+// horizon, drained every cycle — and, in its NextAt case, the elision
+// probe across a 99-cycle idle gap at the pipeline's 128-bucket horizon.
 func BenchmarkEventWheel(b *testing.B) {
-	w := sched.NewWheel[int](64)
-	var now uint64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 4; j++ {
-			w.Schedule(now, now+uint64(1+(i+j)%48), j)
+	b.Run("schedule-due", func(b *testing.B) {
+		w := sched.NewWheel[int](64)
+		var now uint64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < 4; j++ {
+				w.Schedule(now, now+uint64(1+(i+j)%48), j)
+			}
+			now++
+			w.Due(now)
 		}
-		now++
-		w.Due(now)
+	})
+	b.Run("nextat-gap100", func(b *testing.B) {
+		w := sched.NewWheel[int](128)
+		w.Schedule(0, 100, 0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if at, _ := w.NextAt(1); at != 100 {
+				b.Fatalf("NextAt(1) = %d, want 100", at)
+			}
+		}
+	})
+}
+
+// BenchmarkPipelineStallCycle measures the eliding run loop on a stall
+// workload: full ptrchase runs under the baseline MDT/SFC + ENF machine on
+// a warm pipeline re-armed through Reset, reported per simulated cycle.
+// Most of ptrchase's cycles wait on one L2 miss and are elided. Reset runs
+// with the timer stopped, so ns/cycle and allocs/op cover Run alone: Reset
+// reloads ptrchase's 2 MB data image into fresh memory pages.
+func BenchmarkPipelineStallCycle(b *testing.B) {
+	const insts = 20_000
+	w, ok := workload.Get("ptrchase")
+	if !ok {
+		b.Fatal("workload ptrchase not registered")
 	}
+	img := w.Build()
+	s, err := replay.Materialize(img, insts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := harness.BaselineConfig(harness.MDTSFCEnf, insts)
+	p, err := pipeline.NewWithTrace(cfg, img, s.All())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := p.Run(); err != nil {
+		b.Fatal(err)
+	}
+	var cycles uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := p.Reset(cfg, img, s.All()); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		st, err := p.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles += st.Cycles
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 }
 
 // BenchmarkPipelineSteadyCycle measures one warm pipeline cycle, bound to a

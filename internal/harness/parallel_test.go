@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sfcmdt/internal/par"
+	"sfcmdt/internal/prog"
 	"sfcmdt/internal/sample"
 	"sfcmdt/internal/workload"
 )
@@ -94,6 +95,32 @@ func TestRunnerSampledParallelMatchesSerial(t *testing.T) {
 	for i := range want.Sample.IntervalIPC {
 		if want.Sample.IntervalIPC[i] != got.Sample.IntervalIPC[i] {
 			t.Errorf("interval %d IPC %v vs %v", i, want.Sample.IntervalIPC[i], got.Sample.IntervalIPC[i])
+		}
+	}
+}
+
+// TestRunAllPrologueErrorPerJob pins error delivery out of the concurrent
+// prologue: a workload whose stream cannot be materialized (its program
+// faults on a misaligned load) fails every one of its jobs, and the other
+// workloads' jobs succeed.
+func TestRunAllPrologueErrorPerJob(t *testing.T) {
+	bad := workload.Workload{
+		Name: "misaligned",
+		Build: func() *prog.Image {
+			b := prog.NewBuilder("misaligned")
+			b.Li(1, 1)
+			b.Ld(2, 0, 1)
+			b.Halt()
+			return b.MustBuild()
+		},
+	}
+	good := figureWorkloads(t, "gzip", "mcf")
+	cfg := BaselineConfig(MDTSFCEnf, 2_000)
+	jobs := []Job{{cfg, bad}, {cfg, good[0]}, {cfg, bad}, {cfg, good[1]}}
+	results := NewRunner(2_000).RunAllContext(context.Background(), jobs)
+	for i, res := range results {
+		if failed := res.Err != nil; failed != (jobs[i].W.Name == bad.Name) {
+			t.Errorf("job %d (%s): Err = %v", i, res.Workload, res.Err)
 		}
 	}
 }

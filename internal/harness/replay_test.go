@@ -1,12 +1,15 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sfcmdt/internal/blob"
 	"sfcmdt/internal/pipeline"
+	"sfcmdt/internal/prog"
 	"sfcmdt/internal/replay"
 	"sfcmdt/internal/sample"
 	"sfcmdt/internal/snapshot"
@@ -60,29 +63,62 @@ func TestRunMatrixLockstepReplayIdentical(t *testing.T) {
 // TestSweepMaterializesOncePerWorkload pins the sweep fix: an N-point grid
 // over W workloads pays exactly W stream materializations and probes the
 // stream store exactly W times — once per workload, not once per grid point.
+// Its second input is a job list that interleaves three workloads with
+// duplicates: the concurrent prologue also builds each workload once, and
+// each job's stats equal those of a fresh runner given that job alone.
 func TestSweepMaterializesOncePerWorkload(t *testing.T) {
-	ws := []workload.Workload{mustWorkload(t, "gzip"), mustWorkload(t, "mcf")}
-	cfgs := []pipeline.Config{
-		BaselineConfig(MDTSFCEnf, 3_000),
-		BaselineConfig(LSQ48x32, 3_000),
-		BaselineConfig(ValueReplay120x80, 3_000),
-	}
-	cs := &countingStore[replay.Key, *replay.Stream]{inner: replay.NewMemStore()}
-	r := NewRunner(3_000)
-	r.Replay = replay.NewCache(cs)
-	if _, err := r.RunMatrix(ws, cfgs); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := cs.Gets(), len(ws); got != want {
-		t.Errorf("stream store probed %d times for a %d-point grid, want %d (once per workload)",
-			got, len(ws)*len(cfgs), want)
-	}
-	if got, want := cs.Puts(), len(ws); got != want {
-		t.Errorf("stream store written %d times, want %d", got, want)
-	}
-	st := r.Replay.Stats()
-	if st.Materialized != uint64(len(ws)) {
-		t.Errorf("materialized %d functional passes, want %d", st.Materialized, len(ws))
+	enf, lsq := BaselineConfig(MDTSFCEnf, 3_000), BaselineConfig(LSQ48x32, 3_000)
+	for _, in := range []struct {
+		names []string
+		run   func(r *Runner, ws []workload.Workload)
+	}{
+		{[]string{"gzip", "mcf"}, func(r *Runner, ws []workload.Workload) {
+			if _, err := r.RunMatrix(ws, []pipeline.Config{enf, lsq, BaselineConfig(ValueReplay120x80, 3_000)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{[]string{"gzip", "mcf", "ptrchase"}, func(r *Runner, ws []workload.Workload) {
+			jobs := []Job{{enf, ws[0]}, {enf, ws[1]}, {lsq, ws[0]}, {enf, ws[2]}, {lsq, ws[1]}, {lsq, ws[2]}, {enf, ws[0]}}
+			for i, res := range r.RunAllContext(context.Background(), jobs) {
+				want := NewRunner(3_000).Run(jobs[i].Cfg, mustWorkload(t, res.Workload))
+				if res.Err != nil || want.Err != nil {
+					t.Fatalf("job %d: err %v, fresh runner's err %v", i, res.Err, want.Err)
+				}
+				if *res.Stats != *want.Stats {
+					t.Errorf("job %d (%s under %s): stats differ from a fresh runner's", i, res.Workload, res.Config)
+				}
+			}
+		}},
+	} {
+		builds := make([]atomic.Int32, len(in.names))
+		var ws []workload.Workload
+		for i, base := range figureWorkloads(t, in.names...) {
+			w := base
+			w.Build = func() *prog.Image {
+				builds[i].Add(1)
+				return base.Build()
+			}
+			ws = append(ws, w)
+		}
+		cs := &countingStore[replay.Key, *replay.Stream]{inner: replay.NewMemStore()}
+		r := NewRunner(3_000)
+		r.Replay = replay.NewCache(cs)
+		in.run(r, ws)
+		for i := range builds {
+			if n := builds[i].Load(); n != 1 {
+				t.Errorf("%v: %s built %d times, want 1", in.names, ws[i].Name, n)
+			}
+		}
+		if got, want := cs.Gets(), len(ws); got != want {
+			t.Errorf("%v: stream store probed %d times, want %d (once per workload)", in.names, got, want)
+		}
+		if got, want := cs.Puts(), len(ws); got != want {
+			t.Errorf("%v: stream store written %d times, want %d", in.names, got, want)
+		}
+		st := r.Replay.Stats()
+		if st.Materialized != uint64(len(ws)) {
+			t.Errorf("%v: materialized %d functional passes, want %d", in.names, st.Materialized, len(ws))
+		}
 	}
 }
 

@@ -275,27 +275,37 @@ func (r *Runner) RunAll(jobs []Job) []Result {
 // the context error) and in-flight runs are abandoned with partial stats.
 func (r *Runner) RunAllContext(ctx context.Context, jobs []Job) []Result {
 	results := make([]Result, len(jobs))
-	// Materialize reference streams serially first (cheap, avoids
-	// front-loading the worker fan-out with stream builds). A sweep grid
-	// repeats each workload once per configuration; dedupe to one
-	// materialize — and one checkpoint/stream-store probe — per workload,
-	// not one per grid point.
+	// Materialize (or, sampled, prepare) each distinct workload before any
+	// job starts, in first-use order. A sweep grid repeats each workload
+	// once per configuration, so this is one functional pass — and one
+	// stream- or checkpoint-store probe — per workload, not per grid point.
+	// Materialization fans out over every free core through par.ForEach,
+	// an outermost fan-out that never blocks: the caller always works and
+	// extra workers only take free slots. Preparation stays serial, since
+	// sample.Prepare fans out over its own segments and an outer fan-out
+	// would hold those slots for the length of its workload. Errors
+	// surface per job through each workload's sync.Once.
+	var ws []workload.Workload
 	seen := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
-		if ctx.Err() != nil {
-			break
+		if !seen[j.W.Name] {
+			seen[j.W.Name] = true
+			ws = append(ws, j.W)
 		}
-		if seen[j.W.Name] {
-			continue
+	}
+	if r.Sampling != nil {
+		for _, w := range ws {
+			if ctx.Err() != nil {
+				break
+			}
+			r.prepare(w)
 		}
-		seen[j.W.Name] = true
-		if r.Sampling != nil {
-			r.prepare(j.W) // the per-job Run will surface any error
-			continue
-		}
-		if _, _, err := r.materialize(j.W); err != nil {
-			continue // the per-job Run will surface the error
-		}
+	} else {
+		par.ForEach(len(ws), func(k int) {
+			if ctx.Err() == nil {
+				r.materialize(ws[k])
+			}
+		})
 	}
 	// Job slots come from the process-wide CPU semaphore — shared with the
 	// sampler's interval workers and Prepare's restore fan-out, so nested

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Sem is a weighted counting semaphore with FIFO grant order: a large
@@ -146,4 +147,36 @@ var (
 func CPU() *Sem {
 	cpuOnce.Do(func() { cpuSem = NewSem(int64(runtime.GOMAXPROCS(0))) })
 	return cpuSem
+}
+
+// ForEach runs f(k) for every k in [0, n), on the caller's goroutine plus
+// any slots of CPU that are free right now. It never blocks on the
+// semaphore: the caller always works and extra workers come only from
+// TryAcquire(1), each released when it runs out of indices. That is the
+// composition rule's inner half, so ForEach is safe at any nesting level,
+// inside a job that holds a blocking Acquire or beside one at the
+// outermost level, and progress never depends on a grant.
+func ForEach(n int, f func(k int)) {
+	var next atomic.Int64
+	work := func() {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= n {
+				return
+			}
+			f(k)
+		}
+	}
+	sem := CPU()
+	var wg sync.WaitGroup
+	for w := 1; w < n && sem.TryAcquire(1); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer sem.Release(1)
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }

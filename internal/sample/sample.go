@@ -143,7 +143,7 @@ func Prepare(img *prog.Image, plan Plan, store snapshot.Store, args string) (*In
 	states := make([]*snapshot.State, plan.Intervals)
 	getErrs := make([]error, plan.Intervals)
 	if store != nil {
-		forEachIndex(plan.Intervals, func(k int) {
+		par.ForEach(plan.Intervals, func(k int) {
 			start := uint64(k)*plan.PerInterval() + plan.FastForward
 			s, ok, err := store.Get(snapshot.Key{Workload: img.Name, Args: args, Insts: start})
 			if err != nil {
@@ -168,7 +168,7 @@ func Prepare(img *prog.Image, plan Plan, store snapshot.Store, args string) (*In
 		}
 	}
 	outs := make([]segResult, len(segs))
-	forEachIndex(len(segs), func(i int) {
+	par.ForEach(len(segs), func(i int) {
 		outs[i] = prepareSegment(img, plan, store, args, segs[i], states, getErrs)
 	})
 
@@ -319,34 +319,6 @@ func (w *checkpointWriter) wait() error {
 	err := <-w.done
 	w.done = nil
 	return err
-}
-
-// forEachIndex runs f(k) for every k in [0, n), fanning across the caller's
-// goroutine plus any immediately-available slots of the process-wide CPU
-// semaphore. The caller always works, so progress never depends on a grant.
-func forEachIndex(n int, f func(k int)) {
-	var next atomic.Int64
-	work := func() {
-		for {
-			k := int(next.Add(1)) - 1
-			if k >= n {
-				return
-			}
-			f(k)
-		}
-	}
-	sem := par.CPU()
-	var wg sync.WaitGroup
-	for w := 1; w < n && sem.TryAcquire(1); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer sem.Release(1)
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // Result is the aggregate of one config's measured intervals.
